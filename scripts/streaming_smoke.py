@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """End-to-end smoke test for the streaming campaign scheduler.
 
-Two teeth, both fast enough for CI:
+Three teeth, all fast enough for CI:
 
 1. **Output equality across schedules on the process backend.**  Runs
    the same small campaign twice — ``schedule="barrier"`` and
@@ -10,7 +10,13 @@ Two teeth, both fast enough for CI:
    choices and pTM-scores, and relaxed CA coordinates.  The scheduler
    is an operational choice, never a scientific one.
 
-2. **Benchmark artifact schema.**  Runs ``benchmarks/bench_streaming.py``
+2. **Work-conserving dispatch.**  Runs the streaming campaign on two
+   worker processes and asserts neither spent less than 0.6 of the
+   map's wall time running tasks: local compute workers are pool-less,
+   each walks whole chains from its local lane and steals at the tail,
+   so no worker idles while a peer carries a whole stage.
+
+3. **Benchmark artifact schema.**  Runs ``benchmarks/bench_streaming.py``
    under ``BENCH_SMOKE=1`` and validates the ``BENCH_streaming.json``
    it writes: the sweep/worker-pool/makespan/TTFS/bubble shape the
    EXPERIMENTS notes quote, with streaming strictly beating the barrier
@@ -41,7 +47,7 @@ def check(condition: bool, message: str) -> None:
     print(f"  ok: {message}")
 
 
-def run_campaign(schedule: str):
+def run_campaign(schedule: str, workers: int = 3):
     from repro.core import ProteomePipeline
     from repro.fold import NativeFactory
     from repro.msa import build_suite
@@ -56,7 +62,7 @@ def run_campaign(schedule: str):
         feature_nodes=4,
         inference_nodes=2,
         relax_nodes=1,
-        compute_workers=3,
+        compute_workers=workers,
         executor_backend="process",
         schedule=schedule,
     )
@@ -64,7 +70,7 @@ def run_campaign(schedule: str):
 
 
 def compare_schedules() -> None:
-    print("[1/2] barrier vs streaming campaign on the process backend")
+    print("[1/3] barrier vs streaming campaign on the process backend")
     barrier = run_campaign("barrier")
     stream = run_campaign("streaming")
 
@@ -111,8 +117,25 @@ def compare_schedules() -> None:
     )
 
 
+def check_worker_balance() -> None:
+    print("[2/3] busy share of each worker, 2-process streaming campaign")
+    execution = run_campaign("streaming", workers=2).feature_stage.execution
+    check(len(execution.workers) == 2, "campaign ran on two worker processes")
+    for worker in execution.workers:
+        busy = sum(
+            r.duration
+            for r in execution.records
+            if r.worker_id == worker.worker_id
+        )
+        share = busy / execution.walltime_seconds
+        check(
+            share >= 0.6,
+            f"worker {worker.short_id} busy share {share:.2f} >= 0.6",
+        )
+
+
 def validate_bench_artifact() -> None:
-    print("[2/2] BENCH_streaming.json schema (BENCH_SMOKE=1)")
+    print("[3/3] BENCH_streaming.json schema (BENCH_SMOKE=1)")
     env = dict(os.environ, BENCH_SMOKE="1", PYTHONPATH=str(REPO / "src"))
     proc = subprocess.run(
         [
@@ -170,6 +193,7 @@ def validate_bench_artifact() -> None:
 
 def main() -> int:
     compare_schedules()
+    check_worker_balance()
     validate_bench_artifact()
     print("streaming smoke ok")
     return 0

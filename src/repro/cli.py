@@ -82,11 +82,12 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["barrier", "streaming"],
                    help="campaign scheduler: three stage maps with hard "
                         "joins between them (barrier, default) or one "
-                        "dependency-driven dataflow over CPU/GPU worker "
-                        "pools where each sequence flows feature -> "
-                        "inference -> relax the moment its predecessors "
-                        "finish (streaming; bit-identical outputs, lower "
-                        "makespan and time-to-first-structure)")
+                        "dependency-driven dataflow where each sequence "
+                        "flows feature -> inference -> relax the moment "
+                        "its predecessors finish, on the worker that "
+                        "holds its inputs; idle workers steal (streaming; "
+                        "bit-identical outputs, lower makespan and "
+                        "time-to-first-structure)")
     c.add_argument("--index-dir", type=Path, default=None,
                    help="directory of on-disk k-mer index artifacts (see "
                         "`repro index build`); the feature stage attaches "

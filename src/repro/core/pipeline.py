@@ -262,8 +262,8 @@ class PipelineResult:
     relax_stage: RelaxStageResult
     #: Which scheduler produced this result: ``"barrier"`` (three
     #: sequential stage maps) or ``"streaming"`` (one dependency-driven
-    #: dataflow over pooled workers).  Scientific outputs are
-    #: bit-identical either way; the operational numbers below differ.
+    #: dataflow).  Scientific outputs are bit-identical either way; the
+    #: operational numbers below differ.
     schedule: str = "barrier"
     #: Unified dependency-driven campaign simulation (streaming runs
     #: only): one scheduler startup, CPU/GPU pools, chains overlapping
@@ -340,8 +340,9 @@ class ProteomePipeline:
     #: Campaign scheduler: ``"barrier"`` (default — three sequential
     #: stage maps, each joining before the next) or ``"streaming"``
     #: (the whole campaign as per-sequence dependency chains on one
-    #: executor with CPU/GPU worker pools; each sequence flows to its
-    #: next stage the moment its predecessors finish).  Outputs are
+    #: executor of pool-less workers; each sequence flows to its next
+    #: stage the moment its predecessors finish, on the worker that
+    #: holds its inputs, and idle workers steal).  Outputs are
     #: bit-identical; streaming collapses the stage-boundary bubbles
     #: and time-to-first-structure.
     schedule: str = "barrier"
@@ -772,36 +773,6 @@ class ProteomePipeline:
         )
 
     # -- Streaming schedule --------------------------------------------------
-    def _streaming_executor(
-        self, n_items: int
-    ) -> ThreadedExecutor | ProcessExecutor:
-        """Pooled executor for a streaming campaign.
-
-        Splits the compute workers into the ParaFold shape — a CPU pool
-        (feature + relax tasks) and a GPU pool (inference) — with the
-        high-memory slot landing in the GPU pool, where the 2 TB
-        inference nodes live.  A single worker cannot split; it serves
-        both pools (pool-less workers match any lane).
-        """
-        n = self.compute_workers
-        if n <= 0:
-            n = max(1, min(8, os.cpu_count() or 1))
-        n = min(n, max(1, n_items))
-        highmem = 1 if self.use_highmem_routing else 0
-        if self.executor_backend == "process":
-            cls: Any = ProcessExecutor
-        elif self.executor_backend == "threaded":
-            cls = ThreadedExecutor
-        else:
-            raise ValueError(
-                f"unknown executor backend {self.executor_backend!r}; "
-                "expected 'threaded' or 'process'"
-            )
-        if n < 2:
-            return cls(1, highmem_workers=highmem)
-        cpu = max(1, n // 2)
-        return cls(pools={"cpu": cpu, "gpu": n - cpu}, highmem_workers=highmem)
-
     def _streaming_callback(
         self,
     ) -> Callable[[TaskRecord, Any], None] | None:
@@ -843,10 +814,11 @@ class ProteomePipeline:
         """The whole campaign as one dependency-driven dataflow.
 
         One executor map over every ``feature → inference×5 → relax``
-        chain: tasks are held until their predecessors complete, CPU
-        and GPU pools run concurrently, and each sequence's relaxation
-        can finish while another sequence's MSA search is still
-        running.  Scientific outputs are bit-identical to
+        chain: tasks are held until their predecessors complete, every
+        worker runs all three stages — a chain stays on the worker that
+        built its features unless a peer would otherwise idle — and each
+        sequence's relaxation can finish while another sequence's MSA
+        search is still running.  Scientific outputs are bit-identical to
         :meth:`_run_stages` (same task functions, same tie-breaks, same
         budgets); the per-stage *simulations* are also computed exactly
         as the barrier path computes them — so node-hour accounting is
@@ -920,7 +892,13 @@ class ProteomePipeline:
                 )
             }
         try:
-            execution = self._streaming_executor(len(pending)).map(
+            # Local compute workers are identical, so none is fenced into
+            # a pool: each walks whole chains from its local lane.  The
+            # last worker plays the 2 TB node for highmem-routed inference.
+            execution = self._executor(
+                len(pending),
+                highmem_workers=1 if self.use_highmem_routing else 0,
+            ).map(
                 stagework.streaming_task,
                 pending,
                 pass_spec=True,

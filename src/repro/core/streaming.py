@@ -6,9 +6,13 @@ dependency chains
 
     feature(s) → inference(s, model) × 5 → relax(s)
 
-onto one executor with heterogeneous pools — feature/relax tasks on the
-``"cpu"`` pool, inference on the ``"gpu"`` pool, the ParaFold shape —
-so each sequence flows to its next stage the moment it is ready.  This
+onto one executor, so each sequence flows to its next stage the moment
+it is ready.  Specs carry the ParaFold pool labels — feature/relax on
+``"cpu"``, inference on ``"gpu"`` — which bind on a heterogeneous
+machine (the simulated campaign's CPU and GPU worker pools) and are
+inert on the pool-less local compute workers, where each worker instead
+walks whole chains from its local lane
+(:class:`~repro.dataflow.scheduler.TaskQueue`).  This
 module holds everything schedule-specific that is *not* executor
 machinery: building the spec DAG, the highmem finalizer that fires once
 a feature result reveals its MSA depth, the unified streaming
@@ -52,6 +56,7 @@ STREAM_STAGES = ("feature", "inference", "relax")
 
 #: Pool routing, the ParaFold split: CPU-bound MSA search and (here)
 #: relaxation on one pool, accelerator-bound inference on the other.
+#: A hard constraint for pooled workers only.
 STAGE_POOLS = {"feature": "cpu", "inference": "gpu", "relax": "cpu"}
 
 

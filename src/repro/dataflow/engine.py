@@ -14,10 +14,12 @@ retries with escalate-to-highmem on OOM-class failures.
 Dependency-driven execution (the streaming campaign scheduler) rides
 the same loop: tasks with ``depends_on`` edges are held by the
 :class:`~repro.dataflow.scheduler.TaskQueue` until their predecessors
-complete, heterogeneous ``pools`` route feature/relax vs inference
-work to disjoint worker sets, and a terminally failed predecessor
-poisons only its own downstream chain — dependents surface as
-``SkippedDependency`` failure records, never a hang.
+complete and then run, by preference, on the worker that produced their
+inputs (the queue's local lanes; idle workers steal), optional
+heterogeneous ``pools`` confine feature/relax vs inference work to
+disjoint worker sets, and a terminally failed predecessor poisons only
+its own downstream chain — dependents surface as ``SkippedDependency``
+failure records, never a hang.
 """
 
 from __future__ import annotations
@@ -182,9 +184,9 @@ class ThreadedExecutor:
 
     ``pools`` optionally splits the workers into named pools (e.g.
     ``{"cpu": 4, "gpu": 4}``): tasks carrying a matching
-    ``TaskSpec.pool`` only dispatch to workers of that pool, the
-    ParaFold-shaped CPU/GPU split the streaming campaign uses.  When
-    given, the pool sizes define the worker count.
+    ``TaskSpec.pool`` only dispatch to workers of that pool — a hard
+    constraint, for workers that really differ (the ParaFold-shaped
+    CPU/GPU split).  When given, the pool sizes define the worker count.
     """
 
     def __init__(
@@ -485,7 +487,7 @@ class ThreadedExecutor:
                     if ok:
                         results[task.key] = value
                         resolved[task.key] = value
-                        queue.mark_complete(task.key)
+                        queue.mark_complete(task.key, worker)
                     if respawn is not None:
                         backoff = retry_policy.backoff_for(task.attempt)
                         if backoff > 0:

@@ -156,8 +156,7 @@ class ProcessExecutor:
 
     ``pools`` optionally splits workers into named pools (see
     :class:`~repro.dataflow.engine.ThreadedExecutor`): tasks carrying a
-    matching ``TaskSpec.pool`` only dispatch to that pool's processes —
-    the streaming campaign's CPU/GPU split.
+    matching ``TaskSpec.pool`` only dispatch to that pool's processes.
 
     ``start_method`` defaults to ``fork`` where available (workers
     inherit the parent's heap copy-on-write, so spawning is cheap even
@@ -395,7 +394,7 @@ class ProcessExecutor:
             if ok:
                 results[task.key] = value
                 resolved[task.key] = value
-                queue.mark_complete(task.key)
+                queue.mark_complete(task.key, worker)
             if respawn is not None:
                 backoff = retry_policy.backoff_for(task.attempt)
                 if backoff > 0:

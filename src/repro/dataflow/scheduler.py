@@ -6,13 +6,20 @@ the previous one.  No task placement decisions beyond FIFO — the load
 balancing comes entirely from the submission *order* (the paper's
 descending-length sort) plus the dataflow execution model.
 
-Two placement dimensions extend plain FIFO:
+Two hard placement constraints extend plain FIFO:
 
 * ``requires_highmem`` tasks only dispatch to 2 TB workers (§3.3's
   oversized-protein routing), and
 * ``pool`` routes tasks to a named worker pool — the ParaFold-shaped
-  CPU/GPU split the streaming campaign scheduler uses (feature/relax
-  tasks on a CPU pool, inference on a GPU pool).
+  CPU/GPU split of a heterogeneous machine (feature/relax tasks on a
+  CPU pool, inference on a GPU pool).
+
+Within those constraints dispatch is locality-aware and
+work-conserving: a task whose dependencies ran on a worker that may
+also run *it* waits in that worker's local lane, so a worker walks a
+whole dependency chain depth-first with its caches warm; a worker with
+nothing local takes the shared FIFO, and one with nothing there steals
+from a peer's local lane rather than idle.
 
 Tasks may also declare ``depends_on`` edges.  A task with unmet
 dependencies is *held* (never offered to a worker) until every
@@ -76,9 +83,9 @@ class WorkerInfo:
     """A registered worker: one GPU slot on some node.
 
     ``pool`` names the heterogeneous pool the worker belongs to
-    (``"cpu"``/``"gpu"`` in the streaming campaign); the empty string
-    is the universal pool — such workers take tasks from any pool, and
-    pool-less tasks run anywhere.
+    (``"cpu"``/``"gpu"`` on the simulated campaign machine); the empty
+    string is the universal pool — such workers take tasks from any
+    pool, and pool-less tasks run anywhere.
     """
 
     worker_id: str
@@ -116,6 +123,10 @@ class TaskRecord:
         return self.end - self.start
 
 
+#: The three steps of :meth:`TaskQueue.pop`, in service order.
+_OWN, _SHARED, _STEAL = 0, 1, 2
+
+
 class _Blocked:
     """A submitted task waiting on unresolved dependencies."""
 
@@ -137,11 +148,21 @@ class TaskQueue:
     sorted in descending size so long tasks start early and short tasks
     fill the tail gaps.
 
-    Ready tasks live on per-eligibility-class deques — one lane per
-    ``(pool, requires_highmem)`` pair — so every :meth:`pop` is O(lanes)
-    instead of a scan over ineligible tasks.  A monotone submission
-    counter stitches the lanes back into one global FIFO wherever order
-    across lanes matters (pops, :attr:`tasks`, reordering).
+    Ready tasks live on deques keyed ``(pool, requires_highmem, owner)``.
+    ``owner == ""`` is a *shared* lane, one per eligibility class;
+    otherwise the lane is *local* to the worker with that id.  A task
+    enters the local lane of the worker that most recently completed
+    one of its dependencies (:meth:`mark_complete` names the worker) if
+    that worker is eligible for it, else its class's shared lane — so
+    maps without ``depends_on``, and chains whose stages need disjoint
+    pools, are plain FIFO.  :meth:`pop` looks only at lane heads — own
+    local lanes, then shared lanes, then peers' local lanes (a steal) —
+    so it costs O(lanes + workers) for a fixed set of eligibility
+    classes, never a scan of the ready set; drained local lanes are
+    dropped.  A monotone submission counter orders tasks within each of
+    those three steps and stitches the lanes back into one global FIFO
+    wherever order across lanes matters (:attr:`tasks`, reordering, the
+    ``pop(None)`` drain).
 
     Tasks with unmet ``depends_on`` edges are held in a blocked set and
     promoted into their lane the moment the last dependency resolves
@@ -164,10 +185,12 @@ class TaskQueue:
     under the streaming scheduler visible in ``repro report``.
     """
 
-    _lanes: dict[tuple[str, bool], deque[tuple[int, float, TaskSpec]]] = field(
-        default_factory=dict
-    )
+    _lanes: dict[
+        tuple[str, bool, str], deque[tuple[int, float, TaskSpec]]
+    ] = field(default_factory=dict)
     _seq: int = 0
+    # Completed key -> (completion order, worker that ran it).
+    _ran_on: dict[str, tuple[int, WorkerInfo]] = field(default_factory=dict)
     _blocked: dict[str, _Blocked] = field(default_factory=dict)
     _waiters: dict[str, list[str]] = field(default_factory=dict)
     _done: set[str] = field(default_factory=set)
@@ -191,15 +214,23 @@ class TaskQueue:
             self._dispatch_counters = (
                 registry.counter("dataflow.dispatch.standard"),
                 registry.counter("dataflow.dispatch.highmem"),
+                registry.counter("dataflow.dispatch.local"),
+                registry.counter("dataflow.dispatch.stolen"),
                 registry.gauge("dataflow.queue.depth"),
                 registry.histogram("dataflow.task.wait_seconds"),
             )
             self._dispatch_registry = registry
         return self._dispatch_counters
 
-    def _count_dispatch(self, task: TaskSpec, enqueued_at: float) -> TaskSpec:
-        standard, highmem, depth, wait = self._instruments()
+    def _count_dispatch(
+        self, task: TaskSpec, enqueued_at: float, step: int
+    ) -> TaskSpec:
+        standard, highmem, local, stolen, depth, wait = self._instruments()
         (highmem if task.requires_highmem else standard).inc()
+        if step == _OWN:
+            local.inc()
+        elif step == _STEAL:
+            stolen.inc()
         if self.observe_pressure:
             depth.set(len(self))
             wait.observe(max(0.0, time.monotonic() - enqueued_at))
@@ -211,10 +242,17 @@ class TaskQueue:
 
         Blocked tasks are not included — they are not dispatchable yet.
         """
-        entries: list[tuple[int, float, TaskSpec]] = []
-        for lane in self._lanes.values():
-            entries.extend(lane)
-        return [task for _, _, task in sorted(entries, key=lambda e: e[0])]
+        return [task for task, _ in self._owned_tasks()]
+
+    def _owned_tasks(self) -> list[tuple[TaskSpec, str]]:
+        """Queued ``(task, lane owner)`` pairs in global FIFO order."""
+        entries = [
+            (seq, task, lane_key[2])
+            for lane_key, lane in self._lanes.items()
+            for seq, _, task in lane
+        ]
+        entries.sort(key=lambda e: e[0])
+        return [(task, owner) for _, task, owner in entries]
 
     @property
     def n_blocked(self) -> int:
@@ -222,10 +260,35 @@ class TaskQueue:
         return len(self._blocked)
 
     # -- submission ----------------------------------------------------------
-    def _enqueue(self, task: TaskSpec, run_finalize: bool = True) -> None:
-        if run_finalize and self.finalize is not None:
-            task = self.finalize(task)
-        lane_key = (task.pool, task.requires_highmem)
+    def _home_of(self, task: TaskSpec) -> str:
+        """Id of the worker whose local lane ``task`` belongs in, or ``""``.
+
+        The worker that most recently completed one of the task's
+        dependencies, among those eligible to run the task itself.
+        """
+        home: tuple[int, WorkerInfo] | None = None
+        for dep in task.depends_on:
+            ran = self._ran_on.get(dep)
+            if (
+                ran is not None
+                and (home is None or ran[0] > home[0])
+                and self._eligible(ran[1], task.pool, task.requires_highmem)
+            ):
+                home = ran
+        return home[1].worker_id if home is not None else ""
+
+    def _enqueue(self, task: TaskSpec, owner: str | None = None) -> None:
+        """Append ``task`` to its lane.
+
+        ``owner`` is given only when an already-queued task re-enters
+        its lane on a reorder: its dependencies were checked (and
+        finalize applied) on first submission.
+        """
+        if owner is None:
+            if self.finalize is not None:
+                task = self.finalize(task)
+            owner = self._home_of(task)
+        lane_key = (task.pool, task.requires_highmem, owner)
         lane = self._lanes.get(lane_key)
         if lane is None:
             lane = self._lanes[lane_key] = deque()
@@ -268,8 +331,12 @@ class TaskQueue:
         self._poisoned.append((task, tuple(sorted(failed_deps))))
         return self._mark(task.key, failed=True)
 
-    def _mark(self, key: str, failed: bool) -> int:
+    def _mark(
+        self, key: str, failed: bool, worker: WorkerInfo | None = None
+    ) -> int:
         (self._failed if failed else self._done).add(key)
+        if worker is not None:
+            self._ran_on[key] = (len(self._ran_on), worker)
         promoted = 0
         for waiter_key in self._waiters.pop(key, ()):
             blocked = self._blocked.get(waiter_key)
@@ -294,13 +361,16 @@ class TaskQueue:
                     promoted += 1
         return promoted
 
-    def mark_complete(self, key: str) -> int:
+    def mark_complete(self, key: str, worker: WorkerInfo | None = None) -> int:
         """A task succeeded: promote dependents whose edges all resolved.
 
-        Returns the number of tasks promoted into a lane (callers use a
-        non-zero return to wake idle workers).
+        ``worker`` is the worker that ran it — where its outputs (and
+        whatever per-worker caches it warmed) live; dependents that
+        worker may run are promoted into its local lane.  Returns the
+        number of tasks promoted into a lane (callers use a non-zero
+        return to wake idle workers).
         """
-        return self._mark(key, failed=False)
+        return self._mark(key, failed=False, worker=worker)
 
     def mark_failed(self, key: str) -> int:
         """A task terminally failed: poison/promote dependents.
@@ -338,15 +408,11 @@ class TaskQueue:
         return drained
 
     # -- ordering ------------------------------------------------------------
-    def _reorder(self, ordered: list[TaskSpec]) -> None:
-        for lane in self._lanes.values():
-            lane.clear()
+    def _reorder(self, ordered: list[tuple[TaskSpec, str]]) -> None:
+        self._lanes.clear()
         self._seq = 0
-        for task in ordered:
-            # Already-ready tasks re-enter their lane directly; their
-            # dependencies were checked (and finalize applied) on first
-            # submission.
-            self._enqueue(task, run_finalize=False)
+        for task, owner in ordered:
+            self._enqueue(task, owner)
 
     def sort_descending(self) -> None:
         """Greedy load balancing: largest size hints first.
@@ -355,21 +421,21 @@ class TaskQueue:
         dependency-resolution order when promoted.
         """
         self._reorder(
-            sorted(self.tasks, key=lambda t: (-t.size_hint, t.key))
+            sorted(
+                self._owned_tasks(),
+                key=lambda e: (-e[0].size_hint, e[0].key),
+            )
         )
 
     def shuffle(self, rng) -> None:
         """Random order (the baseline the paper argues against)."""
-        items = self.tasks
+        items = self._owned_tasks()
         rng.shuffle(items)
         self._reorder(items)
 
     # -- dispatch ------------------------------------------------------------
     @staticmethod
-    def _eligible(worker: WorkerInfo | None, lane_key: tuple[str, bool]) -> bool:
-        if worker is None:
-            return True
-        pool, needs_highmem = lane_key
+    def _eligible(worker: WorkerInfo, pool: str, needs_highmem: bool) -> bool:
         if needs_highmem and not worker.highmem:
             return False
         if pool and worker.pool and pool != worker.pool:
@@ -377,26 +443,47 @@ class TaskQueue:
         return True
 
     def pop(self, worker: WorkerInfo | None = None) -> TaskSpec | None:
-        """Next task this worker may run (FIFO among eligible tasks).
+        """Next task this worker may run.
 
-        Eligibility: ``requires_highmem`` tasks need a high-memory
-        worker; a task with a ``pool`` needs a worker of that pool (or
-        a pool-less worker); the ``worker=None`` legacy form takes the
-        oldest task overall.  Returns ``None`` when no eligible task is
+        Eligibility is a hard constraint: ``requires_highmem`` tasks
+        need a high-memory worker; a task with a ``pool`` needs a worker
+        of that pool (or a pool-less worker).  Among eligible lanes the
+        worker is served, oldest head first within each step, from
+
+        1. its own local lanes (tasks whose inputs it produced),
+        2. the shared lanes (plain FIFO — the only step there is for
+           maps without dependencies), then
+        3. other workers' local lanes: a steal, which keeps an idle
+           worker busy at the tail and keeps a lost worker's lane alive.
+
+        The ``worker=None`` form takes the oldest task overall (the
+        end-of-run drain).  Returns ``None`` when no eligible task is
         queued — the queue itself may be non-empty.
         """
-        best: deque | None = None
-        best_seq = -1
+        best_key = None
+        best_rank = (0, 0)
         for lane_key, lane in self._lanes.items():
-            if not lane or not self._eligible(worker, lane_key):
+            if not lane:
                 continue
-            if best is None or lane[0][0] < best_seq:
-                best = lane
-                best_seq = lane[0][0]
-        if best is None:
+            pool, needs_highmem, owner = lane_key
+            if worker is None:
+                step = _SHARED
+            elif not self._eligible(worker, pool, needs_highmem):
+                continue
+            elif not owner:
+                step = _SHARED
+            else:
+                step = _OWN if owner == worker.worker_id else _STEAL
+            rank = (step, lane[0][0])
+            if best_key is None or rank < best_rank:
+                best_key, best_rank = lane_key, rank
+        if best_key is None:
             return None
-        _, enqueued_at, task = best.popleft()
-        return self._count_dispatch(task, enqueued_at)
+        lane = self._lanes[best_key]
+        _, enqueued_at, task = lane.popleft()
+        if not lane and best_key[2]:
+            del self._lanes[best_key]
+        return self._count_dispatch(task, enqueued_at, best_rank[0])
 
     def schedulable_for(self, workers: list[WorkerInfo]) -> bool:
         """Is any queued task eligible for any of these workers?
@@ -404,11 +491,12 @@ class TaskQueue:
         The threaded executor's idle-exit check: with nothing in flight
         and nothing deferred, a worker may only exit once no queued task
         could ever be taken by *any* registered worker — otherwise a
-        chain promoted by a peer's completion could strand.
+        chain promoted by a peer's completion could strand.  Local lanes
+        count whoever owns them: any eligible worker may steal.
         """
         return any(
-            lane and any(self._eligible(w, lane_key) for w in workers)
-            for lane_key, lane in self._lanes.items()
+            lane and any(self._eligible(w, pool, highmem) for w in workers)
+            for (pool, highmem, _), lane in self._lanes.items()
         )
 
     def __len__(self) -> int:

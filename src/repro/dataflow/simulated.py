@@ -229,7 +229,7 @@ def simulate_dataflow(
             if error is None:
                 # Completing a task may unblock queued dependents that
                 # only *other* (idle) workers are eligible for.
-                if queue.mark_complete(task.key):
+                if queue.mark_complete(task.key, worker):
                     wake_idle()
             elif (
                 retry_policy is not None

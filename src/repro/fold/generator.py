@@ -82,6 +82,7 @@ class NativeFactory:
         self._fold_cache: dict[tuple[int, int], np.ndarray] = {}
         self._ss_cache: dict[tuple[int, int], np.ndarray] = {}
         self._native_cache: dict[str, Structure] = {}
+        self._label_for_record: dict[str, np.ndarray] = {}
 
     # -- Fold topologies -----------------------------------------------------
     def family_fold(self, fold_seed: int, length: int) -> np.ndarray:
@@ -192,9 +193,10 @@ class NativeFactory:
             model_name="native",
         )
         # Stash SS labels for the error model without widening Structure.
-        self._native_cache[record.record_id] = structure
-        self._label_for_record = getattr(self, "_label_for_record", {})
+        # Labels go in *before* the structure is published: a second
+        # thread that sees the cached native must find its labels too.
         self._label_for_record[record.record_id] = labels
+        self._native_cache[record.record_id] = structure
         return structure
 
     def native_ss_labels(self, record: ProteinRecord) -> np.ndarray:
@@ -206,5 +208,4 @@ class NativeFactory:
         self._fold_cache.clear()
         self._ss_cache.clear()
         self._native_cache.clear()
-        if hasattr(self, "_label_for_record"):
-            self._label_for_record.clear()
+        self._label_for_record.clear()

@@ -138,6 +138,14 @@ def render_report(artifacts: RunArtifacts) -> str:
         lines.append("counters:")
         for name, value in sorted(counters.items()):
             lines.append(f"  {name:<40} {value:g}")
+        local = counters.get("dataflow.dispatch.local", 0)
+        stolen = counters.get("dataflow.dispatch.stolen", 0)
+        if local or stolen:
+            lines.append(
+                f"  dispatch locality: {local / (local + stolen):.1%} of "
+                f"{local + stolen:g} chained dispatches ran where their "
+                f"inputs were produced ({stolen:g} stolen)"
+            )
     gauges = artifacts.metrics.get("gauges", {})
     if gauges:
         lines.append("")

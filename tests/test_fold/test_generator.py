@@ -99,3 +99,45 @@ class TestNativeFactory:
         factory.native(proteome[0])
         factory.clear_cache()
         assert factory._native_cache == {}
+
+    def test_labels_published_before_native(self, universe, proteome):
+        """A thread that sees a cached native always finds its labels.
+
+        The publishing thread is held at the instant the structure
+        lands in the cache; a second thread asking for the labels in
+        that window must be served, not hit a missing entry.
+        """
+        import threading
+
+        rec = proteome[0]
+        published, release = threading.Event(), threading.Event()
+
+        class HoldOnPublish(dict):
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                published.set()
+                release.wait(timeout=30.0)
+
+        factory = NativeFactory(universe)
+        factory._native_cache = HoldOnPublish()
+        seen: list = []
+
+        def reader():
+            try:
+                seen.append(factory.native_ss_labels(rec))
+            except Exception as exc:  # noqa: BLE001 - the regression itself
+                seen.append(exc)
+            finally:
+                release.set()
+
+        writer = threading.Thread(target=factory.native, args=(rec,))
+        writer.start()
+        assert published.wait(timeout=30.0)
+        peer = threading.Thread(target=reader)
+        peer.start()
+        peer.join(timeout=30.0)
+        writer.join(timeout=30.0)
+        assert not peer.is_alive() and not writer.is_alive()
+        (labels,) = seen
+        assert isinstance(labels, np.ndarray), labels
+        assert labels.size == rec.length

@@ -93,6 +93,19 @@ class TestRenderReport:
         assert "feature.task.latency_seconds" in text
 
 
+    def test_report_shows_dispatch_locality(self, tmp_path):
+        session = TelemetrySession(tmp_path)
+        _record_small_run(session)
+        with session.activate():
+            get_metrics().counter("dataflow.dispatch.local").inc(9)
+            get_metrics().counter("dataflow.dispatch.stolen").inc(1)
+        session.export()
+        text = render_report(load_run(tmp_path))
+        assert "dataflow.dispatch.local" in text
+        assert "dispatch locality: 90.0% of 10 chained dispatches" in text
+        assert "(1 stolen)" in text
+
+
 class TestCliReport:
     def test_report_command(self, tmp_path, capsys):
         session = TelemetrySession(tmp_path)
