@@ -18,6 +18,15 @@ workers (§3.3):
    the process backend composes with durable state exactly like the
    threaded one (completions are ledgered in the parent).
 
+3. **Lazy state is built once, and still pickles.**  A 2-thread barrier
+   mini-campaign under a ``TelemetrySession`` must export
+   ``msa.index.rebuild == n_libraries`` and run exactly the family-fold
+   collapses and member re-settles one thread alone runs (racing
+   threads wait for one build, :mod:`repro.singleflight`).  The same
+   campaign on ``ProcessExecutor(start_method="spawn")`` — suite and
+   factory shipped as pickled initargs — must reproduce the science
+   with every ``*.coalesced`` counter at zero.
+
 Run from the repo root (CI does)::
 
     PYTHONPATH=src python scripts/process_executor_smoke.py
@@ -25,14 +34,21 @@ Run from the repo root (CI does)::
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
+from repro.core import ProteomePipeline
 from repro.dataflow import ProcessExecutor, RetryPolicy, TaskSpec
+from repro.fold import NativeFactory, generator
+from repro.msa import build_suite
+from repro.sequences import SequenceUniverse, synthetic_proteome
+from repro.telemetry import TelemetrySession
 
 CAMPAIGN = [
     sys.executable, "-m", "repro.cli", "campaign",
@@ -125,11 +141,97 @@ def cli_campaign_composition() -> None:
     )
 
 
+class SpawnPipeline(ProteomePipeline):
+    """The pipeline on two *spawned* worker processes (no CLI flag
+    selects the start method; fork is the default where it exists)."""
+
+    def _executor(self, n_items: int, highmem_workers: int = 0):
+        return ProcessExecutor(
+            2, highmem_workers=min(highmem_workers, 2), start_method="spawn"
+        )
+
+
+def _science(result) -> dict:
+    tops = result.inference_stage.top_models
+    return {
+        rid: (tops[rid].ptms, outcome.final_energy, outcome.structure.ca.tobytes())
+        for rid, outcome in sorted(result.relax_stage.outcomes.items())
+    }
+
+
+def _mini_campaign(pipeline_cls, universe, proteome, **kwargs):
+    """Run a 2-worker campaign on fresh lazy state; return the result,
+    its exported counters and the suite's library count."""
+    suite = build_suite(universe, ["P_mercurii"], seed=5, scale=0.002)
+    run_dir = Path(tempfile.mkdtemp(prefix="single-flight-"))
+    result = pipeline_cls(
+        feature_nodes=2, inference_nodes=1, relax_nodes=1,
+        compute_workers=2, telemetry=TelemetrySession(run_dir), **kwargs,
+    ).run(proteome, suite, NativeFactory(universe))
+    metrics = json.loads((run_dir / "metrics.json").read_text())
+    return result, metrics["counters"], len(suite.libraries)
+
+
+def single_flight_and_spawn() -> None:
+    universe = SequenceUniverse(5)
+    proteome = synthetic_proteome(
+        "P_mercurii", universe=universe, seed=5, scale=0.002
+    )
+    # Count collapses where they happen: a family fold runs
+    # compact_chain with the factory's step count, a member re-settle
+    # with 40.  One thread alone sets the expectation.
+    real, calls, lock = generator.compact_chain, [], threading.Lock()
+
+    def counted(chain, rng, n_steps=None):
+        with lock:
+            calls.append("resettle" if n_steps == 40 else "fold")
+        return real(chain, rng, n_steps=n_steps)
+
+    generator.compact_chain = counted
+    try:
+        serial = NativeFactory(universe)
+        for record in proteome:
+            serial.native(record)
+        expected = sorted(calls)
+        calls.clear()
+        threaded, counters, n_libraries = _mini_campaign(
+            ProteomePipeline, universe, proteome
+        )
+    finally:
+        generator.compact_chain = real
+    check(
+        counters.get("msa.index.rebuild") == n_libraries,
+        f"2 threads froze each of {n_libraries} library indexes once "
+        f"(msa.index.rebuild={counters.get('msa.index.rebuild'):g})",
+    )
+    check(
+        sorted(calls) == expected,
+        f"2 threads ran the serial build counts: "
+        f"{expected.count('fold')} family folds, "
+        f"{expected.count('resettle')} member re-settles",
+    )
+
+    spawned, counters, _ = _mini_campaign(
+        SpawnPipeline, universe, proteome,
+        executor_backend="process", schedule="streaming",
+    )
+    check(
+        _science(spawned) == _science(threaded),
+        "spawned workers (pickled suite + factory) reproduce the science",
+    )
+    check(
+        not any(v for k, v in counters.items() if k.endswith(".coalesced")),
+        "single-threaded worker processes never waited on a build",
+    )
+
+
 def main() -> int:
-    print("[1/2] API-level worker kill -9 / requeue")
+    print("[1/3] API-level worker kill -9 / requeue")
     api_level_worker_loss()
-    print("[2/2] CLI campaign with --executor process + --state-dir/--resume")
+    print("[2/3] CLI campaign with --executor process + --state-dir/--resume")
     cli_campaign_composition()
+    print("[3/3] lazy state: built once under 2 threads, pickles to spawn")
+    single_flight_and_spawn()
     print("process-executor smoke ok")
     return 0
 

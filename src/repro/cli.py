@@ -73,11 +73,14 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["threaded", "process"],
                    help="backend for the real per-record compute: worker "
                         "threads (default) or worker processes with "
-                        "shared-memory array transport (escapes the GIL; "
-                        "survives a killed worker by requeuing its task)")
+                        "shared-memory array transport (survives a killed "
+                        "worker by requeuing its task).  Use 'process' for "
+                        "multi-core runs: the compute is GIL-bound, so "
+                        "threads beyond the first lose throughput where "
+                        "processes gain it")
     c.add_argument("--compute-workers", type=int, default=0,
                    help="workers for the real compute (0 = auto: one per "
-                        "core, capped at 8)")
+                        "usable core, capped at 8)")
     c.add_argument("--schedule", default="barrier",
                    choices=["barrier", "streaming"],
                    help="campaign scheduler: three stage maps with hard "

@@ -18,7 +18,6 @@ records, wall time and node-hours, from the calibrated cost model).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable
@@ -34,7 +33,11 @@ from ..cluster.costmodel import (
 from ..cluster.machine import ANDES, SUMMIT, MachineSpec
 from ..constants import REDUCED_DATASET_BYTES
 from ..dataflow.bubbles import bubble_seconds as compute_bubble_seconds
-from ..dataflow.engine import ExecutionResult, ThreadedExecutor
+from ..dataflow.engine import (
+    ExecutionResult,
+    ThreadedExecutor,
+    auto_worker_count,
+)
 from ..dataflow.faults import RetryPolicy, is_oom_error
 from ..dataflow.process import ProcessExecutor
 from ..dataflow.scheduler import TaskRecord, TaskSpec, WorkerInfo, make_workers
@@ -322,17 +325,21 @@ class ProteomePipeline:
     #: its proteome runs (§3.3); the Table 1 casp14 benchmark did *not*,
     #: which is why its eight longest sequences were lost to OOM.
     use_highmem_routing: bool = True
-    #: Threads for the *real* per-record work (feature search, model
-    #: inference, relaxation), run through :class:`ThreadedExecutor` with
-    #: the same task decomposition the operational simulation uses.
-    #: 0 = auto (one per core, capped at 8); numpy releases the GIL in
-    #: the kernels that dominate, so threads scale the science for real.
+    #: Workers for the *real* per-record work (feature search, model
+    #: inference, relaxation), run through the executor backend below
+    #: with the same task decomposition the operational simulation uses.
+    #: 0 = auto (one per usable core — the affinity mask, not the
+    #: machine total — capped at 8).
     compute_workers: int = 0
     #: Executor backend for the real per-record work: ``"threaded"``
-    #: (default; workers are threads, scales where numpy drops the GIL)
-    #: or ``"process"`` (workers are OS processes pulling tasks over
-    #: pipes with shared-memory array transport — scales all Python
-    #: work past the GIL and survives a worker being killed outright).
+    #: (default; workers are threads in this process) or ``"process"``
+    #: (workers are OS processes pulling tasks over pipes with
+    #: shared-memory array transport; survives a worker being killed
+    #: outright).  Use ``"process"`` for multi-core runs: the science is
+    #: GIL-bound, so extra *threads* cost throughput rather than buy it.
+    #: Measured on one 2-core box, 40 mixed-length targets, barrier
+    #: schedule: threaded 1 worker 7-9 targets/s, threaded 2 workers
+    #: 4.5-4.7, process 2 workers 9-10 (DESIGN §11 has the table).
     #: Stage decomposition, retry/highmem semantics, the durable-state
     #: callback and the task observer are identical on both: callbacks
     #: always run in this (the coordinating) process.
@@ -403,7 +410,7 @@ class ProteomePipeline:
     ) -> ThreadedExecutor | ProcessExecutor:
         n = self.compute_workers
         if n <= 0:
-            n = max(1, min(8, os.cpu_count() or 1))
+            n = auto_worker_count()
         n = min(n, max(1, n_items))
         highmem = min(highmem_workers, n)
         if self.executor_backend == "process":

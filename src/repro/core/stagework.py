@@ -31,6 +31,14 @@ index.  Without one, the index builds lazily inside the first feature
 task a process runs, so the per-process build cost is visible in that
 task's merged ``msa.index.rebuild`` counter delta rather than hidden
 in initializer time.
+
+Nothing lazy is pre-built here.  The suite's k-mer indexes and the
+factory's natives and family folds are built by the first task that
+needs them and shared from then on: once per worker process, and once
+per *process* — not per thread — on the threaded backend, where
+threads that miss the same key together wait for one build
+(:mod:`repro.singleflight`).  Both objects carry their in-flight
+tables across ``spawn`` as fresh, empty ones.
 """
 
 from __future__ import annotations
@@ -82,7 +90,8 @@ def init_feature_stage(
 
     Pre-warms the suite fingerprint memo here so each worker (or the
     one fork parent) pays the content hash once, not once per cache
-    key computation.
+    key computation.  The k-mer indexes stay lazy: each library's first
+    search builds its index once for every thread of this process.
     """
     suite.fingerprint()
     _CTX["suite"] = suite
@@ -102,7 +111,11 @@ def feature_task(record) -> "FeatureBundle":
 
 # -- Stage 2: model inference -------------------------------------------------
 def init_inference_stage(factory: "NativeFactory", preset_name: str) -> None:
-    """Build the five-model bank and memory budgets once per process."""
+    """Build the five-model bank and memory budgets once per process.
+
+    The bank shares one ``factory``: the five heads of a target ask for
+    the same hidden native, and whichever asks first builds it for all.
+    """
     _CTX["bank"] = [SurrogateFoldModel(factory, i) for i in range(5)]
     _CTX["preset"] = get_preset(preset_name)
     _CTX["std_budget"] = standard_worker_memory_bytes()

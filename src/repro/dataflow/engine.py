@@ -3,8 +3,11 @@
 The same scheduler/queue semantics as the simulated engine, but tasks
 are actual Python callables run on a thread pool — one "worker" per
 thread.  Used by the examples and integration tests to run the full
-pipeline for real, and by anyone adopting the library on an actual
-multi-core machine (numpy releases the GIL in the kernels that matter).
+pipeline for real.  Threads share every object by reference and cost
+nothing to start, but the science is GIL-bound: on a multi-core machine
+a second thread *lowers* campaign throughput (DESIGN §11 has the
+numbers), so multi-core runs belong on
+:class:`~repro.dataflow.process.ProcessExecutor`.
 
 Fault tolerance matches the simulated executor: memory-aware dispatch
 (``requires_highmem`` tasks only run on highmem workers), per-attempt
@@ -25,6 +28,7 @@ failure records, never a hang.
 from __future__ import annotations
 
 import heapq
+import os
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -39,7 +43,7 @@ from .reporting import write_task_csv
 from .scheduler import TaskQueue, TaskRecord, TaskSpec, WorkerInfo, make_workers
 from .simulated import UNSCHEDULED_WORKER_ID
 
-__all__ = ["ExecutionResult", "ThreadedExecutor"]
+__all__ = ["ExecutionResult", "ThreadedExecutor", "auto_worker_count"]
 
 
 @dataclass
@@ -128,6 +132,21 @@ def submit_items(
             queue.submit(
                 TaskSpec(key=key, payload=payload, size_hint=size_hint)
             )
+
+
+def auto_worker_count() -> int:
+    """Workers for "auto": one per CPU this process may run on, at most 8.
+
+    Counts the scheduler affinity mask where the platform has one — a
+    cpuset or ``taskset`` leaves ``os.cpu_count()`` at the machine's
+    total, and workers beyond the usable cores only fight each other
+    (for the GIL, on the threaded backend).
+    """
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        usable = os.cpu_count() or 1
+    return max(1, min(8, usable))
 
 
 def pooled_workers(

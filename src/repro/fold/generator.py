@@ -23,6 +23,7 @@ from ..sequences.generator import (
     rng_for,
     stable_hash,
 )
+from ..singleflight import SingleFlight
 from ..structure.protein import Structure
 from .geometry import build_ca_chain, compact_chain, ss_segments, torsions_for_segments
 
@@ -65,6 +66,13 @@ def smooth_chain_noise(
 class NativeFactory:
     """Deterministic factory (and cache) for hidden native structures.
 
+    One factory serves every thread of a process: a native or family
+    fold is built by the first thread that misses it, and threads that
+    miss the same key meanwhile wait for that build instead of racing
+    it (:class:`~repro.singleflight.SingleFlight`).  A ``native`` build
+    calls ``family_fold`` and never the reverse, so the two tables nest
+    in one order only.
+
     Parameters
     ----------
     universe:
@@ -83,6 +91,8 @@ class NativeFactory:
         self._ss_cache: dict[tuple[int, int], np.ndarray] = {}
         self._native_cache: dict[str, Structure] = {}
         self._label_for_record: dict[str, np.ndarray] = {}
+        self._fold_flights = SingleFlight("fold.family_fold.coalesced")
+        self._native_flights = SingleFlight("fold.native.coalesced")
 
     # -- Fold topologies -----------------------------------------------------
     def family_fold(self, fold_seed: int, length: int) -> np.ndarray:
@@ -96,15 +106,20 @@ class NativeFactory:
         cached = self._fold_cache.get(key)
         if cached is not None:
             return cached
-        rng = rng_for(fold_seed, "fold")
-        helix_bias = float(rng.uniform(0.15, 0.85))  # fold class (alpha/beta mix)
-        segments = ss_segments(length, rng, helix_bias=helix_bias)
-        angles, torsions, labels = torsions_for_segments(segments, rng)
-        chain = build_ca_chain(angles, torsions)
-        folded = compact_chain(chain, rng, n_steps=self.compaction_steps)
-        self._fold_cache[key] = folded
-        self._ss_cache[key] = labels
-        return folded
+
+        def build() -> np.ndarray:
+            rng = rng_for(fold_seed, "fold")
+            helix_bias = float(rng.uniform(0.15, 0.85))  # fold class (alpha/beta mix)
+            segments = ss_segments(length, rng, helix_bias=helix_bias)
+            angles, torsions, labels = torsions_for_segments(segments, rng)
+            chain = build_ca_chain(angles, torsions)
+            folded = compact_chain(chain, rng, n_steps=self.compaction_steps)
+            # Labels go in *before* the fold is published: ss_labels()
+            # takes a cached fold as proof that its labels exist.
+            self._ss_cache[key] = labels
+            return folded
+
+        return self._fold_flights.get_or_build(self._fold_cache, key, build)
 
     def ss_labels(self, fold_seed: int, length: int) -> np.ndarray:
         """Per-residue secondary structure labels (0=H, 1=E, 2=C)."""
@@ -170,6 +185,11 @@ class NativeFactory:
         cached = self._native_cache.get(record.record_id)
         if cached is not None:
             return cached
+        return self._native_flights.get_or_build(
+            self._native_cache, record.record_id, lambda: self._build_native(record)
+        )
+
+    def _build_native(self, record: ProteinRecord) -> Structure:
         length = record.length
         if record.family_id is None:
             # Orphan: a fold of its own, keyed by the record itself.
@@ -186,18 +206,16 @@ class NativeFactory:
             ca = base + smooth_chain_noise(length, rng, sigma=sigma)
             if sigma > 0.05:
                 ca = compact_chain(ca, rng, n_steps=40)
-        structure = Structure(
+        # Stash SS labels for the error model without widening Structure.
+        # Labels go in *before* the structure is published: a second
+        # thread that sees the cached native must find its labels too.
+        self._label_for_record[record.record_id] = labels
+        return Structure(
             record_id=record.record_id,
             encoded=record.encoded,
             ca=ca,
             model_name="native",
         )
-        # Stash SS labels for the error model without widening Structure.
-        # Labels go in *before* the structure is published: a second
-        # thread that sees the cached native must find its labels too.
-        self._label_for_record[record.record_id] = labels
-        self._native_cache[record.record_id] = structure
-        return structure
 
     def native_ss_labels(self, record: ProteinRecord) -> np.ndarray:
         """SS labels aligned with :meth:`native` output for the record."""

@@ -28,6 +28,7 @@ from ..sequences.generator import (
     stable_hash,
 )
 from ..sequences.proteome import SPECIES, species_family_base
+from ..singleflight import SingleFlight
 from .kmer import DEFAULT_K, KmerIndex, KmerQueryAPI
 
 __all__ = [
@@ -83,6 +84,7 @@ class SequenceLibrary:
         #: library (HHblits-style many-small-reads; drives metadata load).
         self.files_per_search = int(files_per_search)
         self._index: KmerQueryAPI | None = None
+        self._index_flights = SingleFlight("msa.index.coalesced")
         self._fingerprint: str | None = None
 
     def __len__(self) -> int:
@@ -94,15 +96,24 @@ class SequenceLibrary:
 
         Lazily builds an in-memory :class:`KmerIndex` unless a prebuilt
         (e.g. memory-mapped on-disk) index was installed with
-        :meth:`attach_index` first.
+        :meth:`attach_index` first.  Threads that ask while the first
+        build is running wait for it instead of building their own.
         """
-        if self._index is None:
-            idx = KmerIndex()
-            for i, entry in enumerate(self.entries):
-                idx.add(i, entry.encoded)
-            idx.freeze()
-            self._index = idx
-        return self._index
+        index = self._index
+        if index is None:
+            # The instance dict is the one-slot cache: publishing
+            # ``vars(self)["_index"]`` is assigning ``self._index``.
+            index = self._index_flights.get_or_build(
+                vars(self), "_index", self._build_index
+            )
+        return index
+
+    def _build_index(self) -> KmerIndex:
+        idx = KmerIndex()
+        for i, entry in enumerate(self.entries):
+            idx.add(i, entry.encoded)
+        idx.freeze()
+        return idx
 
     def attach_index(self, index: KmerQueryAPI) -> None:
         """Install a prebuilt index (typically a

@@ -17,12 +17,15 @@ property test pins ``relax_many`` to the serial protocol loop.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-from ..dataflow.engine import ExecutionResult, ThreadedExecutor
+from ..dataflow.engine import (
+    ExecutionResult,
+    ThreadedExecutor,
+    auto_worker_count,
+)
 from ..dataflow.process import ProcessExecutor
 from ..dataflow.scheduler import TaskRecord, TaskSpec
 from ..structure.protein import Structure
@@ -116,7 +119,7 @@ def relax_many(
         if executor is None:
             n = n_workers
             if n <= 0:
-                n = max(1, min(8, os.cpu_count() or 1))
+                n = auto_worker_count()
             executor = ThreadedExecutor(min(n, max(1, len(tasks))))
         execution = executor.map(
             protocol.run_prepared, tasks, stage="relax", on_complete=on_complete

@@ -146,6 +146,21 @@ def render_report(artifacts: RunArtifacts) -> str:
                 f"{local + stolen:g} chained dispatches ran where their "
                 f"inputs were produced ({stolen:g} stolen)"
             )
+        # Callers that found a lazy build already in flight on another
+        # thread and waited for it (repro.singleflight); a worker
+        # process is one thread, so a process-backend run reads 0.
+        lines.append(
+            "  coalesced builds: "
+            + ", ".join(
+                f"{counters.get(name, 0):g} {what}"
+                for name, what in (
+                    ("fold.native.coalesced", "native"),
+                    ("fold.family_fold.coalesced", "family fold"),
+                    ("msa.index.coalesced", "k-mer index"),
+                )
+            )
+            + " (waited on another thread's build)"
+        )
     gauges = artifacts.metrics.get("gauges", {})
     if gauges:
         lines.append("")

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro.fold import NativeFactory
+from repro.fold import NativeFactory, generator
 from repro.msa import build_suite
 from repro.sequences import SequenceUniverse, synthetic_proteome
 
@@ -39,3 +41,22 @@ def factory(universe) -> NativeFactory:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def compact_calls(monkeypatch) -> list[str]:
+    """Log of ``compact_chain`` calls as :class:`NativeFactory` makes them.
+
+    A family fold collapses with the factory's ``compaction_steps``
+    (``None`` on a default factory); a member re-settle always asks for
+    40 steps — so the log separates the two kinds of build.
+    """
+    real, calls, lock = generator.compact_chain, [], threading.Lock()
+
+    def wrapped(chain, rng, n_steps=None):
+        with lock:
+            calls.append("resettle" if n_steps == 40 else "fold")
+        return real(chain, rng, n_steps=n_steps)
+
+    monkeypatch.setattr(generator, "compact_chain", wrapped)
+    return calls

@@ -107,6 +107,29 @@ class TestWorkers:
         w = make_workers(1, 1)[0]
         assert len(w.short_id) == 6
 
+    def test_auto_worker_count_honours_the_affinity_mask(self, monkeypatch):
+        """A cpuset leaves ``cpu_count`` at the machine total; "auto"
+        must size to the cores this process may actually run on."""
+        import os
+
+        from repro.core import ProteomePipeline
+        from repro.dataflow.engine import auto_worker_count
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False
+        )
+        assert auto_worker_count() == 3
+        assert ProteomePipeline(compute_workers=0)._executor(100).n_workers == 3
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(32)))
+        assert auto_worker_count() == 8
+        # Platforms without an affinity API fall back to the CPU count.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert auto_worker_count() == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert auto_worker_count() == 1
+
 
 class TestSimulatedDataflow:
     def test_work_conservation(self):

@@ -1,10 +1,15 @@
 """Native factory tests: family folds, member divergence, determinism."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro.fold import NativeFactory, smooth_chain_noise
+from repro.fold import NativeFactory, generator, smooth_chain_noise
 from repro.structure import tm_score
+from repro.telemetry import MetricsRegistry, use_metrics
+
+from ..bounded import run_bounded
 
 
 class TestSmoothNoise:
@@ -141,3 +146,109 @@ class TestNativeFactory:
         (labels,) = seen
         assert isinstance(labels, np.ndarray), labels
         assert labels.size == rec.length
+
+    def test_ss_labels_published_before_fold(self, universe):
+        """A thread that sees a cached family fold always finds its labels.
+
+        Same shape as the native test above: the builder is held at the
+        instant the fold lands in ``_fold_cache``; ``ss_labels`` takes a
+        cached fold as proof the labels exist, so they must already be
+        there.
+        """
+        fam = universe.family(125)
+        published, release = threading.Event(), threading.Event()
+
+        class HoldOnPublish(dict):
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                published.set()
+                release.wait(timeout=30.0)
+
+        factory = NativeFactory(universe)
+        factory._fold_cache = HoldOnPublish()
+
+        def reader():
+            assert published.wait(timeout=30.0)
+            try:
+                return factory.ss_labels(fam.fold_seed, fam.length)
+            finally:
+                release.set()
+
+        fold, labels = run_bounded(
+            [lambda: factory.family_fold(fam.fold_seed, fam.length), reader]
+        )
+        assert labels.shape == (fam.length,)
+        assert fold.shape == (fam.length, 3)
+
+
+class TestSingleFlightBuilds:
+    """Racing threads build each native and each family fold once."""
+
+    @pytest.mark.parametrize("n_threads", [2, 4])
+    def test_racing_threads_match_the_serial_build_counts(
+        self, universe, proteome, compact_calls, n_threads
+    ):
+        records = list(proteome)[:12]
+        serial = NativeFactory(universe)
+        reference = [serial.native(r) for r in records]
+        expected = sorted(compact_calls)
+        assert expected.count("fold") == len(serial._fold_cache)
+        compact_calls.clear()
+
+        factory = NativeFactory(universe)
+        registry = MetricsRegistry()
+        start = threading.Barrier(n_threads)
+
+        def walk():
+            start.wait(30.0)
+            return [factory.native(r) for r in records]
+
+        with use_metrics(registry):
+            walks = run_bounded([walk] * n_threads)
+        assert sorted(compact_calls) == expected
+        for walked in walks:
+            for got, first, ref in zip(walked, walks[0], reference):
+                assert got is first
+                np.testing.assert_array_equal(got.ca, ref.ca)
+        # Every thread walks the same order from the same instant, so
+        # at least the very first native is contended.
+        counters = registry.counter_values("fold.")
+        assert counters.get("fold.native.coalesced", 0) >= 1
+        assert factory._native_flights._inflight == {}
+        assert factory._fold_flights._inflight == {}
+
+    def test_two_natives_are_in_flight_at_the_same_time(
+        self, universe, proteome, monkeypatch
+    ):
+        """No factory-wide lock: each of two different natives' builds
+        waits, inside its collapse, for the other to have started."""
+        a, b = [r for r in proteome if r.family_id is None][:2]
+        real = generator.compact_chain
+        inside = {a.length: threading.Event(), b.length: threading.Event()}
+        assert len(inside) == 2, "fixture orphans share a length"
+
+        def handshake(chain, rng, n_steps=None):
+            mine = len(chain)
+            inside[mine].set()
+            (other,) = [e for n, e in inside.items() if n != mine]
+            assert other.wait(30.0), "the other native never started"
+            return real(chain, rng, n_steps=n_steps)
+
+        monkeypatch.setattr(generator, "compact_chain", handshake)
+        factory = NativeFactory(universe)
+        na, nb = run_bounded(
+            [lambda: factory.native(a), lambda: factory.native(b)]
+        )
+        assert (na.record_id, nb.record_id) == (a.record_id, b.record_id)
+
+    def test_factory_pickles_with_its_flight_tables(self, universe, proteome):
+        """``ProcessExecutor(start_method="spawn")`` ships the factory as
+        an initarg; the clone must build for itself."""
+        import pickle
+
+        rec = proteome[0]
+        factory = NativeFactory(universe)
+        native = factory.native(rec)
+        clone = pickle.loads(pickle.dumps(factory))
+        clone.clear_cache()
+        np.testing.assert_array_equal(clone.native(rec).ca, native.ca)

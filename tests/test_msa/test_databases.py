@@ -1,11 +1,17 @@
 """Library construction and deduplication tests."""
 
+import threading
+
 import pytest
 
 from repro.msa import build_library
 
 from repro.msa.databases import LibraryEntry, SequenceLibrary
+from repro.msa.kmer import KmerIndex
 from repro.sequences import encode
+from repro.telemetry import MetricsRegistry, use_metrics
+
+from ..bounded import run_bounded, wait_until
 
 
 
@@ -90,3 +96,56 @@ class TestIndexLifecycle:
         idx1 = lib.index
         assert lib.index is idx1
         assert idx1.n_sequences == 1
+
+    @pytest.mark.parametrize("n_threads", [2, 4])
+    def test_racing_threads_freeze_one_index(self, small_library, n_threads):
+        """Threads that miss the index together share one CSR build."""
+        lib = SequenceLibrary("race", small_library.entries, modeled_bytes=10)
+        registry = MetricsRegistry()
+        start = threading.Barrier(n_threads)
+        building, parked = threading.Event(), threading.Event()
+        real_freeze = KmerIndex.freeze
+
+        def held_freeze(index):
+            # Hold the one build open until every other thread has
+            # asked for the index and found it in flight.
+            building.set()
+            assert parked.wait(30.0)
+            real_freeze(index)
+
+        def ask():
+            start.wait(30.0)
+            return lib.index
+
+        def release_when_parked():
+            assert building.wait(30.0)
+            wait_until(
+                lambda: registry.counter_values().get("msa.index.coalesced")
+                == n_threads - 1
+            )
+            parked.set()
+
+        with use_metrics(registry), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(KmerIndex, "freeze", held_freeze)
+            *indexes, _ = run_bounded([ask] * n_threads + [release_when_parked])
+        assert all(index is indexes[0] for index in indexes)
+        counters = registry.counter_values("msa.index.")
+        assert counters["msa.index.rebuild"] == 1
+        assert counters["msa.index.coalesced"] == n_threads - 1
+        assert lib._index_flights._inflight == {}
+
+    def test_library_pickles_with_its_flight_table(self, small_library):
+        """Spawned workers receive the suite by pickle: the lock stays
+        behind, the frozen index travels, searches agree."""
+        import pickle
+
+        lib = SequenceLibrary("ship", small_library.entries, modeled_bytes=10)
+        query = lib.entries[0].encoded
+        expected = lib.index.count_hits(query)
+        clone = pickle.loads(pickle.dumps(lib))
+        assert (clone.index.count_hits(query) == expected).all()
+        fresh = pickle.loads(
+            pickle.dumps(SequenceLibrary("cold", lib.entries, modeled_bytes=10))
+        )
+        assert fresh._index is None
+        assert (fresh.index.count_hits(query) == expected).all()

@@ -39,6 +39,17 @@ def test_batched_matches_serial(structures):
         assert got.converged == expected.converged
 
 
+def test_auto_worker_count_follows_the_affinity_mask(structures, monkeypatch):
+    import os
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
+    )
+    batch = relax_many(structures, device="gpu", n_workers=0)
+    assert len(batch.execution.workers) == 3
+
+
 def test_worker_count_invariance(structures):
     one = relax_many(structures, device="gpu", n_workers=1)
     four = relax_many(structures, device="gpu", n_workers=4)

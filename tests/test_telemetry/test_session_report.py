@@ -105,6 +105,19 @@ class TestRenderReport:
         assert "dispatch locality: 90.0% of 10 chained dispatches" in text
         assert "(1 stolen)" in text
 
+    def test_report_shows_coalesced_builds(self, tmp_path):
+        session = TelemetrySession(tmp_path)
+        _record_small_run(session)
+        with session.activate():
+            get_metrics().counter("fold.native.coalesced").inc(4)
+            get_metrics().counter("msa.index.coalesced").inc(2)
+        session.export()
+        text = render_report(load_run(tmp_path))
+        # A counter nobody bumped (no thread ever waited) reads 0.
+        assert (
+            "coalesced builds: 4 native, 0 family fold, 2 k-mer index" in text
+        )
+
 
 class TestCliReport:
     def test_report_command(self, tmp_path, capsys):
