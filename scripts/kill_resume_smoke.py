@@ -13,12 +13,15 @@ closest in-process stand-in for the paper's node failures.  Then:
 3. re-runs the identical campaign with ``--resume`` and asserts it
    completes (rc 0) while reporting skipped, already-ledgered work.
 
-The same drill then runs against ``--schedule streaming`` — the
-campaign as one dependency-driven dataflow, killed while chains are
-interleaved mid-flight — with two extra teeth: the resumed run may
-recompute at most one ledgered task (only the record a torn final
-ledger line dropped), and the relaxed structures it stores must be
-byte-identical to an uninterrupted reference campaign's artifacts.
+The same drill then runs against ``--schedule streaming`` — all three
+stages in one wave, killed while chains are interleaved mid-flight —
+and against the two *crossed* pairs (killed under ``barrier``, resumed
+under ``streaming``, and the reverse: the state directory speaks bare
+per-stage keys, so it does not remember which wave plan wrote it), each
+with two extra teeth: the resumed run may recompute at most one
+ledgered task (only the record a torn final ledger line dropped), and
+the relaxed structures it stores must be byte-identical to an
+uninterrupted reference campaign's artifacts.
 
 Run from the repo root (CI does)::
 
@@ -151,39 +154,51 @@ def artifact_value_bytes(state_dir: Path, stage: str, key: str) -> bytes:
     return pickle.dumps(_canonical(payload["value"]))
 
 
-def streaming_scenario(workdir: Path, crash_after: int) -> None:
-    """Kill a streaming campaign mid-flight; resume must not recompute."""
-    state_dir = workdir / "streaming-state"
-    reference_dir = workdir / "streaming-reference"
-    streaming = CAMPAIGN + ["--schedule", "streaming"]
+def kill_resume_scenario(
+    workdir: Path,
+    crash_after: int,
+    kill_schedule: str,
+    resume_schedule: str,
+    reference_dir: Path,
+) -> None:
+    """Kill a campaign under one schedule mid-flight, resume it under
+    another (or the same): resume must not recompute, and must store the
+    relax artifacts ``reference_dir``'s uninterrupted campaign stored."""
+    pair = f"{kill_schedule}->{resume_schedule}"
+    state_dir = workdir / f"state-{kill_schedule}-{resume_schedule}"
 
     print(
-        f"[4/6] streaming campaign with SIGKILL after {crash_after} "
-        "inference tasks"
+        f"[{pair}] {kill_schedule} campaign with SIGKILL after "
+        f"{crash_after} inference tasks"
     )
     crashed = run(
-        streaming
-        + ["--state-dir", str(state_dir),
+        CAMPAIGN
+        + ["--schedule", kill_schedule,
+           "--state-dir", str(state_dir),
            "--crash-after-inference-tasks", str(crash_after)]
     )
     check(
         crashed.returncode in (-9, 137),
-        f"streaming campaign was SIGKILLed (rc={crashed.returncode})",
+        f"{kill_schedule} campaign was SIGKILLed (rc={crashed.returncode})",
     )
     ok_counts = validate_state_dir(state_dir)
     check(
         ok_counts.get("inference", 0) >= crash_after,
-        f"streaming crash-trigger records were durable: {ok_counts}",
+        f"crash-trigger records were durable: {ok_counts}",
     )
     before = ok_keys_of(state_dir)
 
-    print("[5/6] resuming the killed streaming campaign")
-    resumed = run(streaming + ["--state-dir", str(state_dir), "--resume"])
+    print(f"[{pair}] resuming it under --schedule {resume_schedule}")
+    resumed = run(
+        CAMPAIGN
+        + ["--schedule", resume_schedule,
+           "--state-dir", str(state_dir), "--resume"]
+    )
     check(resumed.returncode == 0, f"resume completed (rc={resumed.returncode})")
     check("resume   : skipped" in resumed.stdout, "resume reported skipped work")
     check(
-        "streaming:" in resumed.stdout,
-        "resumed run reported the streaming makespan summary",
+        ("streaming:" in resumed.stdout) == (resume_schedule == "streaming"),
+        "resumed run reported its own schedule's summary",
     )
     after = ok_keys_of(state_dir)
     # Every pre-kill ok record was skipped on resume, not recomputed —
@@ -193,19 +208,11 @@ def streaming_scenario(workdir: Path, crash_after: int) -> None:
         len(recomputed) <= 1,
         f"resume recomputed at most one ledgered task ({recomputed})",
     )
-    check(
-        len(set(after)) > len(set(before)),
-        "resume extended the streaming ledger",
-    )
+    check(len(set(after)) > len(set(before)), "resume extended the ledger")
 
-    print("[6/6] comparing against an uninterrupted reference campaign")
-    reference = run(streaming + ["--state-dir", str(reference_dir)])
-    check(
-        reference.returncode == 0,
-        f"reference campaign completed (rc={reference.returncode})",
-    )
+    print(f"[{pair}] comparing against the uninterrupted reference campaign")
     relax_keys = sorted(k for stage, k in set(after) if stage == "relax")
-    check(bool(relax_keys), "streaming campaign stored relax artifacts")
+    check(bool(relax_keys), "resumed campaign stored relax artifacts")
     for key in relax_keys:
         check(
             artifact_value_bytes(state_dir, "relax", key)
@@ -259,7 +266,27 @@ def main(argv: list[str] | None = None) -> int:
         "resume extended the ledger instead of rewriting it",
     )
 
-    streaming_scenario(workdir, args.crash_after)
+    reference_dir = workdir / "reference-state"
+    print("[reference] uninterrupted streaming campaign")
+    reference = run(
+        CAMPAIGN + ["--schedule", "streaming", "--state-dir", str(reference_dir)]
+    )
+    check(
+        reference.returncode == 0,
+        f"reference campaign completed (rc={reference.returncode})",
+    )
+    for kill_schedule, resume_schedule in (
+        ("streaming", "streaming"),
+        ("barrier", "streaming"),
+        ("streaming", "barrier"),
+    ):
+        kill_resume_scenario(
+            workdir,
+            args.crash_after,
+            kill_schedule,
+            resume_schedule,
+            reference_dir,
+        )
     print("kill/resume smoke ok:", final_counts)
     return 0
 

@@ -1,20 +1,21 @@
-"""Per-task stage functions, shaped for cross-process execution.
+"""The campaign's task function, shaped for cross-process execution.
 
-The pipeline's stages used to hand the executor closures over local
-state (the library suite, the model bank, the preset).  A closure works
-on the threaded backend but cannot cross a process boundary, so the
-process executor forces the split this module encodes:
+A closure over the library suite or the model bank works on the
+threaded backend but cannot cross a process boundary, so the process
+executor forces the split this module encodes:
 
-* a module-level **task function** per stage — picklable by reference,
-  taking only what rides in the :class:`~repro.dataflow.scheduler.TaskSpec`
-  payload — and
-* a module-level **initializer** per stage that stashes the heavy
-  shared state (suite, model bank, cache) into the process-local
-  :data:`_CTX` dict.
+* one module-level **task function**, :func:`streaming_task` —
+  picklable by reference, taking only what rides in the
+  :class:`~repro.dataflow.scheduler.TaskSpec` (its payload plus the
+  results of its dependencies) and dispatching on the stage prefix of
+  the task key — and
+* one module-level **initializer**, :func:`init_stages`, that stashes
+  the heavy shared state of the stages a wave will run (suite, model
+  bank, cache, relax protocol) into the process-local :data:`_CTX` dict.
 
 :class:`~repro.dataflow.engine.ThreadedExecutor` runs the initializer
 once up front; :class:`~repro.dataflow.process.ProcessExecutor` runs it
-once per worker process.  Either way the task functions read the same
+once per worker process.  Either way the task function reads the same
 ``_CTX`` keys, so the pipeline drives both backends through one code
 path.  Under the default ``fork`` start method the initargs are
 inherited copy-on-write rather than pickled; under ``spawn`` they
@@ -39,18 +40,21 @@ per *process* — not per thread — on the threaded backend, where
 threads that miss the same key together wait for one build
 (:mod:`repro.singleflight`).  Both objects carry their in-flight
 tables across ``spawn`` as fresh, empty ones.
+
+This module also owns the task-key convention: every key the campaign
+submits is built by :func:`streaming_key` and taken apart by
+:func:`split_streaming_key`, nowhere else.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING, Any
 
 from ..fold.memory import (
     highmem_worker_memory_bytes,
     standard_worker_memory_bytes,
 )
-from ..fold.model import SurrogateFoldModel
+from ..fold.model import default_model_bank
 from ..msa.features import generate_features
 from ..relax.protocols import SinglePassRelaxProtocol
 from .presets import get_preset
@@ -65,88 +69,25 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..relax.protocols import RelaxOutcome
 
 __all__ = [
-    "init_feature_stage",
-    "feature_task",
-    "init_inference_stage",
-    "inference_task",
-    "init_streaming",
+    "init_stages",
     "streaming_task",
     "streaming_key",
     "split_streaming_key",
 ]
 
-#: Process-local stage context, filled by the stage initializers.  One
-#: stage runs at a time per process, so a single dict is unambiguous.
+#: Process-local stage context, filled by :func:`init_stages`.  One
+#: campaign runs at a time per process, so a single dict is unambiguous.
 _CTX: dict[str, Any] = {}
 
 
-# -- Stage 1: feature generation ---------------------------------------------
-def init_feature_stage(
-    suite: "LibrarySuite",
-    config: "FeatureGenConfig | None",
-    cache: "FeatureCache | None",
-) -> None:
-    """Install the search context; one call serves every feature task.
-
-    Pre-warms the suite fingerprint memo here so each worker (or the
-    one fork parent) pays the content hash once, not once per cache
-    key computation.  The k-mer indexes stay lazy: each library's first
-    search builds its index once for every thread of this process.
-    """
-    suite.fingerprint()
-    _CTX["suite"] = suite
-    _CTX["feature_config"] = config
-    _CTX["feature_cache"] = cache
-
-
-def feature_task(record) -> "FeatureBundle":
-    """MSA search for one target against the installed suite."""
-    return generate_features(
-        record,
-        _CTX["suite"],
-        _CTX["feature_config"],
-        cache=_CTX["feature_cache"],
-    )
-
-
-# -- Stage 2: model inference -------------------------------------------------
-def init_inference_stage(factory: "NativeFactory", preset_name: str) -> None:
-    """Build the five-model bank and memory budgets once per process.
-
-    The bank shares one ``factory``: the five heads of a target ask for
-    the same hidden native, and whichever asks first builds it for all.
-    """
-    _CTX["bank"] = [SurrogateFoldModel(factory, i) for i in range(5)]
-    _CTX["preset"] = get_preset(preset_name)
-    _CTX["std_budget"] = standard_worker_memory_bytes()
-    _CTX["hm_budget"] = highmem_worker_memory_bytes()
-
-
-def inference_task(spec: "TaskSpec") -> "Prediction":
-    """One (target, model) prediction; needs the live spec.
-
-    The payload is ``(bundle, model_index, kingdom_bias)``; the memory
-    budget follows the *current attempt's* placement class
-    (``spec.requires_highmem``), so a retry escalated to a high-memory
-    worker predicts under the 2 TB budget its new home provides.
-    """
-    bundle, model_index, bias = spec.payload
-    model = _CTX["bank"][model_index]
-    budget = _CTX["hm_budget"] if spec.requires_highmem else _CTX["std_budget"]
-    config = _CTX["preset"].config(
-        kingdom_bias=bias, memory_budget_bytes=budget
-    )
-    return model.predict(bundle, config)
-
-
-# -- Streaming: all three stages through one dependency-driven map ------------
 def streaming_key(stage: str, key: str) -> str:
     """Stage-prefixed task key (``feature/P001``, ``inference/P001/m3``).
 
     The prefix keeps feature and relax keys — both bare record ids —
-    distinct inside one campaign-wide map call; the streaming callback
-    strips it again before records reach the ledger, so on-disk state
-    stays byte-compatible with barrier runs (cross-schedule resume).
+    distinct inside one campaign-wide map call; the pipeline's
+    completion callback strips it again before records reach the
+    ledger, so on-disk state speaks bare per-stage keys whatever the
+    schedule (cross-schedule resume).
     """
     return f"{stage}/{key}"
 
@@ -157,54 +98,83 @@ def split_streaming_key(key: str) -> tuple[str, str]:
     return stage, bare
 
 
-def init_streaming(
-    suite: "LibrarySuite",
+def init_stages(
+    stages: tuple[str, ...],
+    suite: "LibrarySuite | None",
     config: "FeatureGenConfig | None",
     cache: "FeatureCache | None",
-    factory: "NativeFactory",
+    factory: "NativeFactory | None",
     preset_name: str,
 ) -> None:
-    """Install every stage's context at once for a streaming campaign.
+    """Install the context of the stages one wave will run.
 
-    A streaming worker may be handed a feature task, then an inference
-    task, then a relax minimisation — there is no per-stage worker
-    lifetime to hang separate initializers on — so this composes the
-    per-stage initializers plus the relax protocol into one call.
+    A worker of a multi-stage wave may be handed a feature task, then
+    an inference task, then a relax minimisation — there is no
+    per-stage worker lifetime to hang separate initializers on.  Only
+    the named stages are set up, so a wave without the feature stage
+    needs no ``suite`` and one without inference no ``factory``.
+
+    The suite fingerprint memo is pre-warmed so each worker (or the one
+    fork parent) pays the content hash once, not once per cache key
+    computation; the k-mer indexes stay lazy.  The five-model bank
+    shares one ``factory``: the five heads of a target ask for the same
+    hidden native, and whichever asks first builds it for all.
     """
-    init_feature_stage(suite, config, cache)
-    init_inference_stage(factory, preset_name)
-    _CTX["relax_protocol"] = SinglePassRelaxProtocol(device="gpu")
+    if "feature" in stages:
+        suite.fingerprint()
+        _CTX["suite"] = suite
+        _CTX["feature_config"] = config
+        _CTX["feature_cache"] = cache
+    if "inference" in stages:
+        _CTX["bank"] = default_model_bank(factory)
+        _CTX["preset"] = get_preset(preset_name)
+        _CTX["std_budget"] = standard_worker_memory_bytes()
+        _CTX["hm_budget"] = highmem_worker_memory_bytes()
+    if "relax" in stages:
+        _CTX["relax_protocol"] = SinglePassRelaxProtocol(device="gpu")
 
 
 def streaming_task(spec: "TaskSpec") -> "FeatureBundle | Prediction | RelaxOutcome":
-    """Dispatch one streaming chain task by its stage prefix.
+    """Run one campaign task, dispatching on its key's stage prefix.
 
     The payload arrives as ``(stage_payload, deps)`` — the executor's
     ``inject_deps`` wrapping — where ``deps`` maps resolved dependency
     keys to their results:
 
-    * ``feature/<rid>``: payload is the sequence record; no deps.
+    * ``feature/<rid>``: payload is the sequence record; no deps.  The
+      MSA search against the installed suite.
     * ``inference/<rid>/<model>``: payload is ``(model_index, bias)``;
-      the single dep is the feature bundle.  Reuses
-      :func:`inference_task` verbatim (same budget-by-placement rule),
-      so predictions are bit-identical to the barrier stage.
+      the single dep is the feature bundle.  The memory budget follows
+      the *current attempt's* placement class
+      (``spec.requires_highmem``), so ``model.predict`` raises OOM
+      exactly when the paper's deployment would have lost the task, and
+      a retry escalated to a high-memory worker predicts under the 2 TB
+      budget its new home provides.
     * ``relax/<rid>``: payload is empty; deps are the five model
       predictions, possibly short of five when some were lost to OOM
-      (``dep_mode="resolved"``).  Top-model selection is the barrier
-      stage's ``max(..., key=ptms)`` over predictions in bank order —
-      the dependency tuple preserves bank order, so ties break
-      identically.
+      (``dep_mode="resolved"``).  The top model is ``max(..., key=ptms)``
+      over predictions in bank order — the dependency tuple preserves
+      bank order, so ties break the same way on every schedule.
     """
     payload, deps = spec.payload
     stage, _ = split_streaming_key(spec.key)
     if stage == "feature":
-        return feature_task(payload)
+        return generate_features(
+            payload,
+            _CTX["suite"],
+            _CTX["feature_config"],
+            cache=_CTX["feature_cache"],
+        )
     if stage == "inference":
         bundle = deps[spec.depends_on[0]]
         model_index, bias = payload
-        return inference_task(
-            replace(spec, payload=(bundle, model_index, bias))
+        budget = (
+            _CTX["hm_budget"] if spec.requires_highmem else _CTX["std_budget"]
         )
+        config = _CTX["preset"].config(
+            kingdom_bias=bias, memory_budget_bytes=budget
+        )
+        return _CTX["bank"][model_index].predict(bundle, config)
     if stage == "relax":
         preds = [deps[k] for k in spec.depends_on if k in deps]
         if not preds:  # pragma: no cover - queue poisons this case first

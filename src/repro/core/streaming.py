@@ -1,34 +1,35 @@
-"""Streaming campaign plumbing: specs, finalizers, simulation, analysis.
+"""The campaign DAG and its timelines: specs, waves, finalizer, analysis.
 
-The barrier pipeline runs three stage-wide maps with hard joins between
-them; the streaming schedule submits the whole campaign as per-sequence
-dependency chains
+Every campaign is the same per-sequence dependency chains
 
     feature(s) → inference(s, model) × 5 → relax(s)
 
-onto one executor, so each sequence flows to its next stage the moment
-it is ready.  Specs carry the ParaFold pool labels — feature/relax on
+and a schedule is a *wave plan* over them (:mod:`repro.core.pipeline`):
+the stages of one wave share one executor map, so a sequence flows to
+its next stage the moment it is ready, and the join between two maps is
+a fence.  Specs carry the ParaFold pool labels — feature/relax on
 ``"cpu"``, inference on ``"gpu"`` — which bind on a heterogeneous
 machine (the simulated campaign's CPU and GPU worker pools) and are
 inert on the pool-less local compute workers, where each worker instead
 walks whole chains from its local lane
-(:class:`~repro.dataflow.scheduler.TaskQueue`).  This
-module holds everything schedule-specific that is *not* executor
-machinery: building the spec DAG, the highmem finalizer that fires once
-a feature result reveals its MSA depth, the unified streaming
-simulation, and the makespan / time-to-first-structure / barrier
-composite analysis the benchmarks report.
+(:class:`~repro.dataflow.scheduler.TaskQueue`).  This module holds
+everything about the DAG that is *not* executor machinery: building it,
+cutting a wave out of it, the highmem finalizer that fires once a
+feature result reveals its MSA depth, the unified streaming simulation,
+and the makespan / time-to-first-structure / barrier composite analysis
+the benchmarks report.
 
-Key conventions (shared with :mod:`repro.core.stagework`):
+Key conventions (:func:`~repro.core.stagework.streaming_key` builds the
+keys, :func:`~repro.core.stagework.split_streaming_key` splits them):
 
 * task keys are stage-prefixed (``feature/<rid>``,
   ``inference/<rid>/<model>``, ``relax/<rid>``) so feature and relax —
   both keyed by record id — stay distinct in one map call;
 * the relax spec's ``dep_mode="resolved"`` runs it once all five
   inference deps are *terminal*, on whichever predictions survived —
-  matching the barrier stage's tolerance of OOM-lost models — and
-  poisons it only when all five failed (exactly the records the barrier
-  path would have dropped from ``top_models``).
+  the paper's tolerance of OOM-lost models — and poisons it only when
+  all five failed (a target with no prediction has no top model to
+  relax).
 """
 
 from __future__ import annotations
@@ -36,17 +37,31 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Callable, Iterable
 
-from ..cluster.costmodel import SCHEDULER_STARTUP_SECONDS
+from ..cluster.costmodel import (
+    SCHEDULER_STARTUP_SECONDS,
+    inference_task_seconds,
+)
 from ..dataflow.faults import RetryPolicy
 from ..dataflow.scheduler import TaskRecord, TaskSpec, WorkerInfo
 from ..dataflow.simulated import SimulationResult, simulate_dataflow
-from ..fold.memory import inference_memory_bytes
+from ..fold.memory import (
+    highmem_worker_memory_bytes,
+    inference_memory_bytes,
+    standard_worker_memory_bytes,
+)
+from ..fold.model import MODEL_NAMES
+from .presets import Preset
+from .stagework import split_streaming_key, streaming_key
 
 __all__ = [
     "STREAM_STAGES",
     "stage_of",
     "build_campaign_specs",
+    "wave_specs",
+    "stage_tasks",
+    "assemble_inference",
     "make_inference_finalizer",
+    "oom_failure_fn",
     "simulate_streaming_campaign",
     "time_to_first_structure_seconds",
     "barrier_composite",
@@ -61,8 +76,8 @@ STAGE_POOLS = {"feature": "cpu", "inference": "gpu", "relax": "cpu"}
 
 
 def stage_of(spec: TaskSpec) -> str:
-    """Stage name from a streaming spec's prefixed key."""
-    return spec.key.partition("/")[0]
+    """Stage name from a campaign spec's prefixed key."""
+    return split_streaming_key(spec.key)[0]
 
 
 def build_campaign_specs(
@@ -84,7 +99,7 @@ def build_campaign_specs(
     specs: list[TaskSpec] = []
     for record in records:
         rid = record.record_id
-        feature_key = f"feature/{rid}"
+        feature_key = streaming_key("feature", rid)
         specs.append(
             TaskSpec(
                 key=feature_key,
@@ -96,7 +111,7 @@ def build_campaign_specs(
         bias = bias_fn(record)
         inference_keys: list[str] = []
         for model_index, name in enumerate(model_names):
-            key = f"inference/{rid}/{name}"
+            key = streaming_key("inference", f"{rid}/{name}")
             inference_keys.append(key)
             specs.append(
                 TaskSpec(
@@ -109,7 +124,7 @@ def build_campaign_specs(
             )
         specs.append(
             TaskSpec(
-                key=f"relax/{rid}",
+                key=streaming_key("relax", rid),
                 payload=None,
                 size_hint=record.length,
                 pool=STAGE_POOLS["relax"],
@@ -120,26 +135,131 @@ def build_campaign_specs(
     return specs
 
 
+def wave_specs(
+    specs: list[TaskSpec], stages: tuple[str, ...], resolved: dict[str, Any]
+) -> list[TaskSpec]:
+    """The specs of ``stages`` one wave still has to run.
+
+    ``resolved`` maps every key that has a result so far — restored
+    from the ledger, seeded by the caller, or computed by an earlier
+    wave — to that result; those specs are done.  Everything before
+    this wave is terminal (that is what the fence means), so an edge
+    to a key that is neither resolved nor part of this wave points at
+    a task that *failed* for good, and no later map will ever resolve
+    it.  Such an edge is applied here the way the queue would have
+    applied the failure: a ``dep_mode="resolved"`` spec drops it and
+    runs on what survived, and a spec left with nothing it may run on
+    (any dead edge under ``"all"``, every edge dead under
+    ``"resolved"``) is not submitted — an OOM-lost target is never
+    relaxed.  Forwarding the dead edge instead would strand the spec
+    in the next map's blocked set.
+    """
+    live = set(resolved)
+    wave: list[TaskSpec] = []
+    for spec in specs:  # DAG order: a spec's dependencies precede it
+        if stage_of(spec) not in stages or spec.key in resolved:
+            continue
+        deps = tuple(d for d in spec.depends_on if d in live)
+        if len(deps) < len(spec.depends_on):
+            if spec.dep_mode == "all" or not deps:
+                continue
+            spec = replace(spec, depends_on=deps)
+        live.add(spec.key)
+        wave.append(spec)
+    return wave
+
+
+def stage_tasks(
+    specs: list[TaskSpec], stage: str, keep: Any = None
+) -> list[TaskSpec]:
+    """One stage's slice of the DAG as that stage's own batch job sees it.
+
+    Bare keys and no edges: the job starts after the fence that resolved
+    them.  ``keep`` (any container of bare keys) narrows the slice to
+    the keys that have work — only top models are relaxed.
+    """
+    tasks = []
+    for spec in specs:
+        spec_stage, bare = split_streaming_key(spec.key)
+        if spec_stage == stage and (keep is None or bare in keep):
+            tasks.append(
+                TaskSpec(
+                    key=bare,
+                    size_hint=spec.size_hint,
+                    requires_highmem=spec.requires_highmem,
+                )
+            )
+    return tasks
+
+
+def assemble_inference(
+    features: dict[str, Any],
+    preset: Preset,
+    preds_by_key: dict[str, Any],
+    bias_fn: Callable[[Any], float],
+) -> tuple[
+    dict[str, list[Any]],
+    list[tuple[str, str]],
+    dict[str, float],
+    dict[str, int],
+]:
+    """Group per-(target, model) predictions and cost every task.
+
+    ``features`` maps record id to feature bundle, ``preds_by_key`` bare
+    inference key to prediction, ``bias_fn`` a record to its kingdom
+    bias.  Returns ``(predictions, oom_failures, sim_durations,
+    memory_needed)`` keyed ``<record_id>/<model>``.  Missing keys are
+    OOM losses whose simulated duration falls back to the preset's
+    recycle cap.
+    """
+    predictions: dict[str, list[Any]] = {}
+    oom: list[tuple[str, str]] = []
+    durations: dict[str, float] = {}
+    memory_needed: dict[str, int] = {}
+    for record_id, bundle in features.items():
+        bias = bias_fn(bundle.record)
+        needed = inference_memory_bytes(
+            bundle.length, preset.n_ensembles, bundle.msa_depth
+        )
+        for name in MODEL_NAMES:
+            key = f"{record_id}/{name}"
+            memory_needed[key] = needed
+            pred = preds_by_key.get(key)
+            if pred is None:
+                oom.append((record_id, name))
+                n_recycles = preset.config(kingdom_bias=bias).recycle_cap(
+                    bundle.length
+                )
+            else:
+                predictions.setdefault(record_id, []).append(pred)
+                n_recycles = pred.n_recycles
+            durations[key] = inference_task_seconds(
+                bundle.length, n_recycles, preset.n_ensembles
+            )
+    return predictions, oom, durations, memory_needed
+
+
 def make_inference_finalizer(
     n_ensembles: int,
     std_budget: int,
     use_highmem_routing: bool,
 ) -> Callable[[TaskSpec, dict[str, Any]], TaskSpec]:
-    """The enqueue-time highmem router for streaming inference tasks.
+    """The enqueue-time highmem router for inference tasks.
 
-    The barrier pipeline decides ``requires_highmem`` between stages,
-    when every feature bundle (hence MSA depth) is in hand.  Streaming
-    has no such point — so the queue's finalize hook makes the same
-    decision per chain, the moment the feature dependency resolves and
-    the task is promoted to runnable.  Raise-only: an already-escalated
-    retry is never demoted, whatever the bundle says.
+    Whether a task needs a 2 TB node depends on its feature bundle's
+    MSA depth, and a wave that runs features and inference together has
+    no point at which every bundle is in hand — so the queue's finalize
+    hook decides per chain, the moment the feature dependency resolves
+    and the task is promoted to runnable (at submission, when a fence
+    or the ledger already resolved it).  Raise-only: an
+    already-escalated retry is never demoted, whatever the bundle says.
     """
 
     def finalize(spec: TaskSpec, resolved: dict[str, Any]) -> TaskSpec:
         if (
             not use_highmem_routing
             or spec.requires_highmem
-            or not spec.key.startswith("inference/")
+            or stage_of(spec) != "inference"
         ):
             return spec
         bundle = resolved.get(spec.depends_on[0]) if spec.depends_on else None
@@ -155,6 +275,31 @@ def make_inference_finalizer(
     return finalize
 
 
+def oom_failure_fn(
+    needed_by_key: dict[str, int],
+) -> Callable[[TaskSpec, WorkerInfo], str | None]:
+    """Simulation ``failure_fn``: the per-worker memory wall.
+
+    A task fails where the bytes it needs exceed the budget of the
+    worker it landed on (standard or 2 TB); keys absent from
+    ``needed_by_key`` — other stages' tasks — never fail.
+    """
+    std_budget = standard_worker_memory_bytes()
+    hm_budget = highmem_worker_memory_bytes()
+
+    def oom_failure(task: TaskSpec, worker: WorkerInfo) -> str | None:
+        needed = needed_by_key.get(task.key)
+        budget = hm_budget if worker.highmem else std_budget
+        if needed is None or needed <= budget:
+            return None
+        return (
+            f"OutOfMemoryError: {task.key} needs {needed / 2**30:.1f} GiB, "
+            f"worker budget is {budget / 2**30:.1f} GiB"
+        )
+
+    return oom_failure
+
+
 def simulate_streaming_campaign(
     specs: list[TaskSpec],
     workers: list[WorkerInfo],
@@ -165,7 +310,7 @@ def simulate_streaming_campaign(
 ) -> SimulationResult:
     """The whole campaign through one dependency-driven simulation.
 
-    One scheduler, one startup charge (the barrier path pays three),
+    One scheduler, one startup charge (the barrier plan pays three),
     pooled workers, tasks held until predecessors complete.  ``specs``
     is the :func:`build_campaign_specs` DAG and ``durations`` maps
     prefixed keys to modelled seconds — typically the same per-stage
@@ -194,7 +339,7 @@ def time_to_first_structure_seconds(
     ends = [
         r.end
         for r in records
-        if r.ok and r.key.startswith("relax/")
+        if r.ok and split_streaming_key(r.key)[0] == "relax"
     ]
     if not ends:
         return 0.0
@@ -231,7 +376,7 @@ def barrier_composite(
             records.append(
                 replace(
                     r,
-                    key=f"{stage}/{r.key}",
+                    key=streaming_key(stage, r.key),
                     worker_id=f"{stage}/{r.worker_id}",
                     start=r.start + offset,
                     end=r.end + offset,

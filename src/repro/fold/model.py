@@ -43,8 +43,13 @@ __all__ = [
     "Prediction",
     "OutOfMemoryError",
     "SurrogateFoldModel",
+    "MODEL_NAMES",
     "default_model_bank",
 ]
+
+#: Names of the five model heads, in bank order — known without a bank,
+#: so the campaign DAG can be laid out before any model exists.
+MODEL_NAMES = tuple(f"model_{i + 1}" for i in range(5))
 
 
 def _rotate_tail(
@@ -127,7 +132,7 @@ class SurrogateFoldModel:
     """
 
     def __init__(self, factory: NativeFactory, model_index: int) -> None:
-        if not 0 <= model_index < 5:
+        if not 0 <= model_index < len(MODEL_NAMES):
             raise ValueError("model_index must be in [0, 5)")
         self.factory = factory
         self.model_index = model_index
@@ -135,7 +140,7 @@ class SurrogateFoldModel:
 
     @property
     def name(self) -> str:
-        return f"model_{self.model_index + 1}"
+        return MODEL_NAMES[self.model_index]
 
     def predict(
         self, features: FeatureBundle, config: PredictionConfig
@@ -286,4 +291,4 @@ class SurrogateFoldModel:
 
 def default_model_bank(factory: NativeFactory) -> list[SurrogateFoldModel]:
     """The standard five-model ensemble."""
-    return [SurrogateFoldModel(factory, i) for i in range(5)]
+    return [SurrogateFoldModel(factory, i) for i in range(len(MODEL_NAMES))]

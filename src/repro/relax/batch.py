@@ -7,9 +7,13 @@ entry point for that shape of work: systems are prepared once up front
 structure so order never matters), then the minimisations — the
 expensive part — run as one task per structure on a
 :class:`~repro.dataflow.engine.ThreadedExecutor` with the same
-greedy descending-size dispatch the paper's deployment used.  The
-pipeline's relax stage and the relaxation benchmarks all funnel through
-here, so there is exactly one batched-relax code path to keep correct.
+greedy descending-size dispatch the paper's deployment used.  Library
+callers and the relaxation benchmarks all funnel through here, so there
+is exactly one batched-relax code path to keep correct.  (A campaign's
+relax tasks are not a batch: each is a node of the per-sequence DAG and
+prepares and minimises its own structure on the worker that runs it —
+:func:`repro.core.stagework.streaming_task` — through the same
+:class:`SinglePassRelaxProtocol`.)
 
 Outcomes are independent of worker count and dispatch order; a
 property test pins ``relax_many`` to the serial protocol loop.
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Iterable
 
 from ..dataflow.engine import (
     ExecutionResult,
@@ -27,7 +31,7 @@ from ..dataflow.engine import (
     auto_worker_count,
 )
 from ..dataflow.process import ProcessExecutor
-from ..dataflow.scheduler import TaskRecord, TaskSpec
+from ..dataflow.scheduler import TaskSpec
 from ..structure.protein import Structure
 from ..telemetry.tracer import get_tracer
 from .forcefield import ForceFieldParams
@@ -83,7 +87,6 @@ def relax_many(
     params: ForceFieldParams | None = None,
     n_workers: int = 0,
     executor: ThreadedExecutor | ProcessExecutor | None = None,
-    on_complete: Callable[[TaskRecord, Any], None] | None = None,
 ) -> BatchRelaxResult:
     """Relax a batch of structures on executor workers.
 
@@ -91,13 +94,11 @@ def relax_many(
     iterable of structures (keyed by record id, disambiguated by model
     name).  ``n_workers=0`` auto-sizes to the machine, capped at 8 and
     at the batch size; pass an ``executor`` to reuse a configured one
-    (the pipeline does) — threaded or process-backed, since the task
-    callable (a bound protocol method) and the prepared systems both
-    pickle.  ``on_complete`` forwards to the executor's ``map`` so
-    durable run state can ledger each relaxation as it lands; it runs
-    in this process on either backend.  Task failures are not tolerated
-    here — a relaxation that throws is a bug, not an operational event —
-    so any failed record re-raises.
+    (the executor-scaling benchmark does) — threaded or process-backed,
+    since the task callable (a bound protocol method) and the prepared
+    systems both pickle.  Task failures are not tolerated here — a
+    relaxation that throws is a bug, not an operational event — so any
+    failed record re-raises.
     """
     by_key = _as_mapping(structures)
     protocol = protocol or SinglePassRelaxProtocol(device=device, params=params)
@@ -121,9 +122,7 @@ def relax_many(
             if n <= 0:
                 n = auto_worker_count()
             executor = ThreadedExecutor(min(n, max(1, len(tasks))))
-        execution = executor.map(
-            protocol.run_prepared, tasks, stage="relax", on_complete=on_complete
-        )
+        execution = executor.map(protocol.run_prepared, tasks, stage="relax")
     failed = [r for r in execution.records if not r.ok]
     if failed:
         summary = "; ".join(f"{r.key}: {r.error}" for r in failed[:3])

@@ -261,21 +261,32 @@ def test_executor_stages_deterministic_across_worker_counts(mini):
 
 
 def test_stage_results_carry_execution_records(full_run, mini):
-    """Each stage reports the ThreadedExecutor run that did its work."""
+    """Each stage reports the executor map (the wave) that did its work;
+    its records carry the stage-prefixed keys the map ran under."""
+    from repro.core.stagework import split_streaming_key
+
+    def bare_keys(execution):
+        return {split_streaming_key(r.key)[1] for r in execution.records}
+
     _, prot, _, _ = mini
     record_ids = {r.record_id for r in prot}
     fs = full_run.feature_stage
     assert fs.execution is not None
-    assert {r.key for r in fs.execution.records} == record_ids
+    assert bare_keys(fs.execution) == record_ids
     assert fs.execution.n_failed == 0
     inf = full_run.inference_stage
     assert inf.execution is not None
     assert len(inf.execution.records) == 5 * len(prot)
     rx = full_run.relax_stage
     assert rx.execution is not None
-    assert {r.key for r in rx.execution.records} == set(
-        full_run.inference_stage.top_models
-    )
+    assert bare_keys(rx.execution) == set(full_run.inference_stage.top_models)
+    # Barrier: one map per stage, and with it one counter delta per
+    # stage — a stage's metrics hold only what moved during its wave.
+    assert len({id(s.execution) for s in (fs, inf, rx)}) == 3
+    assert len({id(s.stage_metrics) for s in (fs, inf, rx)}) == 3
+    assert any(k.startswith("relax.") for k in rx.stage_metrics)
+    assert not any(k.startswith("relax.") for k in fs.stage_metrics)
+    assert not any(k.startswith("feature.") for k in rx.stage_metrics)
 
 
 def test_feature_stage_cache_counters(mini):
@@ -296,3 +307,27 @@ def test_feature_stage_cache_counters(mini):
         assert second.features[rid].msa_depth == bundle.msa_depth
     uncached = ProteomePipeline(feature_nodes=2).run_feature_stage(prot, suite)
     assert uncached.cache_hits == 0 and uncached.cache_misses == 0
+
+
+def test_standalone_stage_calls_start_their_sim_timeline_at_zero(mini):
+    """The simulated-timeline offset belongs to one call, not to the
+    pipeline object: two stage calls on one pipeline under one tracer
+    both place their first sim span at the stage's own start, instead of
+    the second landing after the first's walltime."""
+    from repro.telemetry import TelemetrySession
+
+    _, prot, suite, _ = mini
+    pipeline = ProteomePipeline(feature_nodes=2)
+    session = TelemetrySession()
+    with session.activate():
+        first = pipeline.run_feature_stage(prot, suite)
+        second = pipeline.run_feature_stage(prot, suite)
+    sim_spans = [
+        s for s in session.tracer.spans if s.attrs.get("clock") == "sim"
+    ]
+    n = len(first.simulation.records)
+    assert len(sim_spans) == 2 * n
+    starts = [min(s.start for s in call) for call in (sim_spans[:n], sim_spans[n:])]
+    assert starts[0] == starts[1] == min(
+        r.start for r in second.simulation.records
+    )
