@@ -1,8 +1,9 @@
-"""Dataflow substrate: Dask-like queue/worker model, three executors, reporting."""
+"""Dataflow substrate: Dask-like queue, one scheduling core, three drivers, reporting."""
 
 from .bubbles import bubble_seconds
 from .client import Client, Future, SchedulerService
-from .engine import ExecutionResult, ThreadedExecutor, pooled_workers
+from .core import ExecutionResult, SchedulerCore
+from .engine import ThreadedExecutor, pooled_workers
 from .process import ProcessExecutor
 from .faults import (
     FaultInjector,
@@ -29,6 +30,7 @@ __all__ = [
     "Future",
     "SchedulerService",
     "ExecutionResult",
+    "SchedulerCore",
     "ThreadedExecutor",
     "ProcessExecutor",
     "pooled_workers",

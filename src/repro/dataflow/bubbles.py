@@ -32,8 +32,8 @@ seconds from makespan start):
 
 from __future__ import annotations
 
+from .core import UNSCHEDULED_WORKER_ID
 from .scheduler import TaskRecord, TaskSpec, WorkerInfo
-from .simulated import UNSCHEDULED_WORKER_ID
 
 __all__ = ["bubble_seconds"]
 

@@ -11,9 +11,11 @@ Mirrors the Dask deployment mechanics of §3.3 step by step:
    receives :class:`Future` objects, and appends per-task statistics to
    a CSV as tasks complete.
 
-Execution is in-process threads (the substitute for Summit's node
-fabric), but the *protocol* — registration file, client/scheduler
-separation, futures, completion callbacks — is the paper's.
+Execution is the threaded driver of the shared scheduling core (the
+substitute for Summit's node fabric), so the client inherits its
+placement gating and failure accounting; the *protocol* — registration
+file, client/scheduler separation, futures, completion callbacks — is
+the paper's.
 """
 
 from __future__ import annotations
@@ -21,13 +23,13 @@ from __future__ import annotations
 import csv
 import json
 import threading
-import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .engine import ExecutionResult
+from .core import SchedulerCore
+from .engine import run_threaded
 from .reporting import TASK_CSV_COLUMNS, format_task_row
 from .scheduler import TaskQueue, TaskRecord, TaskSpec, WorkerInfo, make_workers
 
@@ -123,7 +125,9 @@ class Client:
         """Submit all tasks; returns futures in submission order.
 
         ``stats_csv`` streams per-task statistics as they complete
-        (§3.3 step 3e).  Workers pull greedily from the shared queue.
+        (§3.3 step 3e).  The scheduler's registered workers pull from
+        its queue under the shared scheduling core; futures resolve and
+        CSV rows stream from the core's completion callback.
         """
         if self._service is None:
             raise RuntimeError("client not connected; call connect() first")
@@ -131,75 +135,45 @@ class Client:
         if service.n_workers == 0:
             raise RuntimeError("no workers registered with the scheduler")
         futures: dict[str, Future] = {}
+        specs = []
         for key, payload, size_hint in items:
             if key in futures:
                 raise ValueError(f"duplicate task key {key!r}")
             futures[key] = Future(
                 key=key, _event=threading.Event(), _result=[], _error=[]
             )
-            service.queue.submit(
-                TaskSpec(key=key, payload=payload, size_hint=size_hint)
-            )
-        if sort_descending:
-            service.queue.sort_descending()
+            specs.append(TaskSpec(key=key, payload=payload, size_hint=size_hint))
 
-        lock = threading.Lock()
-        records: list[TaskRecord] = []
+        csv_lock = threading.Lock()
         csv_fh = csv_writer = None
         if stats_csv:
             csv_fh = open(stats_csv, "w", encoding="utf-8", newline="")
             csv_writer = csv.writer(csv_fh)
             csv_writer.writerow(TASK_CSV_COLUMNS)
-        t0 = time.perf_counter()
 
-        def run_worker(worker: WorkerInfo) -> None:
-            while True:
-                with lock:
-                    task = service.queue.pop()
-                if task is None:
-                    return
-                future = futures[task.key]
-                start = time.perf_counter() - t0
-                try:
-                    value = func(task.payload)
-                    future._result.append(value)
-                    ok, error = True, ""
-                except Exception as exc:  # noqa: BLE001 - per-task isolation
-                    error = f"{type(exc).__name__}: {exc}"
-                    future._error.append(error)
-                    ok = False
-                end = time.perf_counter() - t0
-                record = TaskRecord(
-                    key=task.key,
-                    worker_id=worker.worker_id,
-                    start=start,
-                    end=end,
-                    ok=ok,
-                    error=error,
-                )
-                with lock:
-                    records.append(record)
-                    if csv_writer is not None:
-                        csv_writer.writerow(format_task_row(record))
-                future._event.set()
+        def on_complete(record: TaskRecord, value: Any) -> None:
+            if csv_writer is not None:
+                with csv_lock:
+                    csv_writer.writerow(format_task_row(record))
+            future = futures[record.key]
+            if record.ok:
+                future._result.append(value)
+            else:
+                future._error.append(record.error)
+            future._event.set()
 
-        threads = [
-            threading.Thread(target=run_worker, args=(w,), daemon=True)
-            for w in service.workers
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if csv_fh:
-            csv_fh.close()
-        self.last_run = ExecutionResult(
-            records=sorted(records, key=lambda r: r.start),
-            results={
-                k: f._result[0] for k, f in futures.items() if f._result
-            },
-            walltime_seconds=time.perf_counter() - t0,
-        )
+        try:
+            core = SchedulerCore(
+                service.workers,
+                specs,
+                queue=service.queue,
+                sort_descending=sort_descending,
+                on_complete=on_complete,
+            )
+            self.last_run = run_threaded(core, func)
+        finally:
+            if csv_fh:
+                csv_fh.close()
         return list(futures.values())
 
     @staticmethod

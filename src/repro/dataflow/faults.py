@@ -1,9 +1,9 @@
-"""Fault tolerance for the dataflow executors: retries and injection.
+"""Fault tolerance for the dataflow engine: retries and injection.
 
 The paper's deployment survived per-task OOM failures at 6000-worker
 scale by re-routing oversized proteins to Summit's 2 TB high-memory
-nodes (§3.3).  This module supplies the policy layer both executors
-share:
+nodes (§3.3).  This module supplies the policy objects the scheduling
+core applies:
 
 * :class:`RetryPolicy` — bounded retries with exponential backoff and
   escalate-to-highmem on OOM-class errors, in the spirit of pilot-job
@@ -55,8 +55,8 @@ class RetryPolicy:
 
     ``max_attempts`` counts *total* attempts (1 = no retries).  The
     ``attempt``-th failure waits ``backoff_seconds * factor**(attempt-1)``
-    before its successor is resubmitted — simulated seconds in the
-    simulated executor, wall seconds in the threaded one.  When
+    before its successor is resubmitted — simulated seconds under the
+    simulated driver, wall seconds under the real ones.  When
     ``escalate_on_oom`` is set, an OOM-class failure re-routes the next
     attempt to a high-memory worker (the paper's §3.3 recovery path);
     other failures retry in place.

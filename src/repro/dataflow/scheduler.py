@@ -23,16 +23,15 @@ from a peer's local lane rather than idle.
 
 Tasks may also declare ``depends_on`` edges.  A task with unmet
 dependencies is *held* (never offered to a worker) until every
-predecessor completes; the executors drive this with
+predecessor completes; the scheduling core
+(:mod:`repro.dataflow.core`) drives this with
 :meth:`TaskQueue.mark_complete` / :meth:`TaskQueue.mark_failed`.  A
 failed predecessor poisons its downstream chain — dependents are
-surfaced through :meth:`TaskQueue.reap_poisoned` so the executors can
-record them as skipped, never silently dropped and never a hang.
+surfaced through :meth:`TaskQueue.reap_poisoned` so they are recorded
+as skipped, never silently dropped and never a hang.
 
-This module is execution-agnostic: the threaded executor runs real
-Python callables, the simulated executor advances a discrete-event
-clock with modelled durations.  Both share these task/worker structures
-and produce the same :class:`TaskRecord` stream for reporting.
+This module is clock- and execution-agnostic: it holds no time but the
+optional queue-pressure stamps, and runs nothing.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ __all__ = ["TaskSpec", "TaskRecord", "WorkerInfo", "TaskQueue"]
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """One unit of work: a key plus an optional payload/callable.
+    """One unit of work: a key plus an optional payload.
 
     ``size_hint`` is what the greedy sort orders by (sequence length in
     the paper's workflows).  ``requires_highmem`` marks tasks that only
@@ -69,7 +68,6 @@ class TaskSpec:
 
     key: str
     payload: Any = None
-    func: Callable[..., Any] | None = None
     size_hint: float = 0.0
     requires_highmem: bool = False
     attempt: int = 1
@@ -115,7 +113,6 @@ class TaskRecord:
     end: float
     ok: bool = True
     error: str = ""
-    result: Any = None
     attempt: int = 1
 
     @property
@@ -178,8 +175,8 @@ class TaskQueue:
     reveals the MSA depth.  It must be monotone — never clear a flag a
     retry escalation set.
 
-    With ``observe_pressure`` set (the real executors set it; the
-    simulated one does not), each submit stamps an enqueue time and
+    With ``observe_pressure`` set (the real drivers' queues; not the
+    simulated one's), each submit stamps an enqueue time and
     each dispatch samples the ``dataflow.queue.depth`` gauge and the
     ``dataflow.task.wait_seconds`` histogram, making queue pressure
     under the streaming scheduler visible in ``repro report``.
@@ -488,11 +485,11 @@ class TaskQueue:
     def schedulable_for(self, workers: list[WorkerInfo]) -> bool:
         """Is any queued task eligible for any of these workers?
 
-        The threaded executor's idle-exit check: with nothing in flight
-        and nothing deferred, a worker may only exit once no queued task
-        could ever be taken by *any* registered worker — otherwise a
-        chain promoted by a peer's completion could strand.  Local lanes
-        count whoever owns them: any eligible worker may steal.
+        The core's idle-exit check: with nothing in flight and nothing
+        deferred, the run is only over once no queued task could ever
+        be taken by *any* live worker — otherwise a chain promoted by a
+        peer's completion could strand.  Local lanes count whoever owns
+        them: any eligible worker may steal.
         """
         return any(
             lane and any(self._eligible(w, pool, highmem) for w in workers)

@@ -4,6 +4,8 @@ Replays the Dask dataflow model against the discrete-event clock: every
 worker pulls the next queued task as soon as it frees up, each task
 costs ``duration_fn(task)`` simulated seconds plus the per-task dispatch
 overhead, and the run ends when the queue drains and all workers idle.
+:func:`run_simulated` is the :class:`~repro.dataflow.core.SchedulerCore`
+driver that owns that clock.
 
 This is the engine behind every walltime/node-hour number the
 benchmarks report (Table 1 wall times, Fig. 2 worker Gantt, §4.3/§4.5
@@ -21,20 +23,21 @@ from ..cluster.costmodel import (
     SCHEDULER_STARTUP_SECONDS,
 )
 from ..cluster.simclock import SimClock
-from ..telemetry.metrics import get_metrics
+from ..telemetry.tracer import NULL_TRACER
+from .core import UNSCHEDULED_WORKER_ID, RecordStats, SchedulerCore
 from .faults import RetryPolicy
-from .reporting import lost_keys as _lost_keys
 from .scheduler import TaskQueue, TaskRecord, TaskSpec, WorkerInfo
 
-__all__ = ["SimulationResult", "simulate_dataflow"]
-
-#: Worker id recorded for tasks no registered worker could ever run
-#: (e.g. ``requires_highmem`` with no high-memory workers provisioned).
-UNSCHEDULED_WORKER_ID = "unscheduled"
+__all__ = [
+    "UNSCHEDULED_WORKER_ID",
+    "SimulationResult",
+    "run_simulated",
+    "simulate_dataflow",
+]
 
 
 @dataclass
-class SimulationResult:
+class SimulationResult(RecordStats):
     """Everything a simulated workflow run produced.
 
     Per-worker analytics (:meth:`worker_records`,
@@ -62,20 +65,6 @@ class SimulationResult:
     def walltime_seconds(self) -> float:
         """Job wall time: startup + processing makespan."""
         return self.startup_seconds + self.makespan_seconds
-
-    @property
-    def n_failed(self) -> int:
-        """Distinct task keys with at least one failed attempt.
-
-        A retried-then-recovered task counts once, however many
-        attempts it burned; per-attempt failure counts live in
-        :func:`~repro.dataflow.reporting.summarize_records`.
-        """
-        return len({r.key for r in self.records if not r.ok})
-
-    def lost_keys(self) -> list[str]:
-        """Task keys with no successful attempt — lost targets."""
-        return _lost_keys(self.records)
 
     @property
     def walltime_minutes(self) -> float:
@@ -119,6 +108,65 @@ class SimulationResult:
         return busy / workers_per_node / 3600.0
 
 
+def run_simulated(
+    core: SchedulerCore,
+    duration_fn: Callable[[TaskSpec], float],
+    task_overhead: float = DASK_TASK_OVERHEAD_SECONDS,
+) -> float:
+    """Drive ``core`` on a discrete-event clock; return the makespan.
+
+    This driver owns the :class:`SimClock`, the modelled durations and
+    the list of workers parked with nothing eligible.  Every attempt
+    costs ``task_overhead`` plus ``duration_fn(task)`` simulated
+    seconds; a failed one aborts quickly (e.g. OOM on startup).
+    """
+    clock = SimClock()
+    idle: list[WorkerInfo] = []
+
+    def wake_idle() -> None:
+        """Re-offer the queue to workers parked with nothing eligible."""
+        waiting, idle[:] = idle[:], []
+        for worker in waiting:
+            pull(worker)
+
+    def resubmit() -> None:
+        core.promote(clock.now)
+        wake_idle()
+
+    def pull(worker: WorkerInfo) -> None:
+        dispatch = core.pull(worker, clock.now)
+        if dispatch is None:
+            idle.append(worker)
+            return
+        task, _, error = dispatch
+        start = clock.now + task_overhead
+        if error is not None:
+            duration = min(30.0, duration_fn(task) * 0.1)
+        else:
+            duration = duration_fn(task)
+        end = start + duration
+
+        def finish() -> None:
+            promoted, retry_at = core.finish(
+                task, worker, start, end, error is None, error or "",
+                now=clock.now,
+            )
+            if retry_at is not None:
+                clock.schedule_at(retry_at, resubmit)
+            elif promoted:
+                # Completing (or terminally failing) a task may unblock
+                # queued dependents that only *other* (idle) workers
+                # are eligible for.
+                wake_idle()
+            pull(worker)
+
+        clock.schedule(end - clock.now, finish)
+
+    for worker in core.workers:
+        pull(worker)
+    return clock.run()
+
+
 def simulate_dataflow(
     tasks: list[TaskSpec],
     workers: list[WorkerInfo],
@@ -139,166 +187,29 @@ def simulate_dataflow(
     e.g. out-of-memory tasks on standard-memory workers — which are
     recorded as failed with a short abort duration.
 
-    Dispatch is memory-aware: ``requires_highmem`` tasks only ever run
-    on ``highmem=True`` workers (§3.3's oversized-protein routing).
-    With a ``retry_policy``, each failed attempt is recorded and a
-    successor resubmitted after the policy's backoff — escalated to a
-    high-memory worker on OOM-class errors — until it succeeds or the
-    attempt budget is exhausted.  Tasks no registered worker can run
-    are drained as failed ``NoEligibleWorker`` records rather than
-    stalling the run.
+    Scheduling policy — memory-aware dispatch, retries with backoff and
+    OOM escalation, poisoned chains, the ``NoEligibleWorker`` drain —
+    is the :class:`~repro.dataflow.core.SchedulerCore`'s, shared with
+    the real executors; counts land on ``sim.dataflow.task.*``.  A
+    simulated run emits no spans and no queue-pressure samples: its
+    timestamps are not wall seconds.
     """
-    if not workers:
-        raise ValueError("need at least one worker")
-    queue = TaskQueue()
-    queue.submit_many(list(tasks))
-    if sort_descending:
-        queue.sort_descending()
-    elif rng is not None:
-        queue.shuffle(rng)
-
-    # Simulated-run counters, resolved once per run (the per-event cost
-    # inside the loop is a plain method call on a bound counter).
-    metrics = get_metrics()
-    sim_failures = metrics.counter("sim.dataflow.task.failures")
-    sim_retries = metrics.counter("sim.dataflow.task.retries")
-    sim_escalations = metrics.counter("sim.dataflow.task.oom_escalations")
-    sim_unschedulable = metrics.counter("sim.dataflow.task.unschedulable")
-    sim_skipped = metrics.counter("sim.dataflow.task.skipped_dependency")
-
-    clock = SimClock()
-    records: list[TaskRecord] = []
-    idle: list[WorkerInfo] = []
-
-    def wake_idle() -> None:
-        """Re-offer the queue to workers parked with nothing eligible."""
-        waiting, idle[:] = idle[:], []
-        for worker in waiting:
-            pull(worker)
-
-    def skip_poisoned(at: float) -> None:
-        """Record dependency-poisoned tasks as zero-duration failures."""
-        for spec, failed_deps in queue.reap_poisoned():
-            sim_skipped.inc()
-            sim_failures.inc()
-            records.append(
-                TaskRecord(
-                    key=spec.key,
-                    worker_id=UNSCHEDULED_WORKER_ID,
-                    start=at,
-                    end=at,
-                    ok=False,
-                    error=(
-                        "SkippedDependency: upstream task(s) failed: "
-                        + ", ".join(failed_deps)
-                    ),
-                    attempt=spec.attempt,
-                )
-            )
-
-    def pull(worker: WorkerInfo) -> None:
-        task = queue.pop(worker)
-        if task is None:
-            idle.append(worker)
-            return
-        error = failure_fn(task, worker) if failure_fn is not None else None
-        start = clock.now + task_overhead
-        if error is not None:
-            # Failed tasks abort quickly (e.g. OOM on startup).
-            duration = min(30.0, duration_fn(task) * 0.1)
-        else:
-            duration = duration_fn(task)
-        end = start + duration
-
-        def finish() -> None:
-            records.append(
-                TaskRecord(
-                    key=task.key,
-                    worker_id=worker.worker_id,
-                    start=start,
-                    end=end,
-                    ok=error is None,
-                    error=error or "",
-                    attempt=task.attempt,
-                )
-            )
-            if error is not None:
-                sim_failures.inc()
-            if task.attempt > 1:
-                sim_retries.inc()
-            if error is None:
-                # Completing a task may unblock queued dependents that
-                # only *other* (idle) workers are eligible for.
-                if queue.mark_complete(task.key, worker):
-                    wake_idle()
-            elif (
-                retry_policy is not None
-                and retry_policy.should_retry(task.attempt)
-            ):
-                respawn = retry_policy.next_task(task, error)
-                if respawn.requires_highmem and not task.requires_highmem:
-                    sim_escalations.inc()
-
-                def resubmit() -> None:
-                    queue.submit(respawn)
-                    wake_idle()
-
-                clock.schedule(retry_policy.backoff_for(task.attempt), resubmit)
-            else:
-                # Terminal failure: poison only the downstream chain;
-                # a resolved-mode dependent may *promote* instead
-                # (relax runs on whichever models survived).
-                promoted = queue.mark_failed(task.key)
-                skip_poisoned(clock.now)
-                if promoted:
-                    wake_idle()
-            pull(worker)
-
-        clock.schedule(end - clock.now, finish)
-
-    for worker in workers:
-        pull(worker)
-    makespan = clock.run()
-    # Anything still queued could not be placed on any worker (e.g.
-    # highmem-only tasks with no highmem workers): fail, don't lose.
-    while True:
-        task = queue.pop()
-        if task is None:
-            break
-        sim_unschedulable.inc()
-        sim_failures.inc()
-        records.append(
-            TaskRecord(
-                key=task.key,
-                worker_id=UNSCHEDULED_WORKER_ID,
-                start=makespan,
-                end=makespan,
-                ok=False,
-                error="NoEligibleWorker: no worker matches this task's "
-                f"placement (pool={task.pool or 'any'!r}, "
-                f"highmem={task.requires_highmem})",
-                attempt=task.attempt,
-            )
-        )
-        queue.mark_failed(task.key)
-    skip_poisoned(makespan)
-    for spec, missing in queue.drain_blocked():
-        sim_skipped.inc()
-        sim_failures.inc()
-        records.append(
-            TaskRecord(
-                key=spec.key,
-                worker_id=UNSCHEDULED_WORKER_ID,
-                start=makespan,
-                end=makespan,
-                ok=False,
-                error="SkippedDependency: dependency never completed: "
-                + ", ".join(missing),
-                attempt=spec.attempt,
-            )
-        )
+    core = SchedulerCore(
+        workers,
+        tasks,
+        queue=TaskQueue(),
+        tracer=NULL_TRACER,
+        sort_descending=sort_descending,
+        retry_policy=retry_policy,
+        failure_fn=failure_fn,
+        stage="sim.dataflow",
+    )
+    if not sort_descending and rng is not None:
+        core.queue.shuffle(rng)
+    makespan = run_simulated(core, duration_fn, task_overhead)
+    core.drain(makespan)
     return SimulationResult(
-        records=records,
+        records=core.records,
         workers=list(workers),
         makespan_seconds=makespan,
         startup_seconds=startup,

@@ -1,7 +1,5 @@
 """Fault-tolerance tests: retries, highmem escalation, injection."""
 
-import time
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -352,34 +350,6 @@ class TestThreadedRetries:
         assert sum(1 for r in res.records if not r.ok) == 8
         assert res.n_failed == 4
         assert res.lost_keys() == []
-
-    def test_deferred_backoff_does_not_park_slot(self):
-        # One worker; the injected key backs off ~0.5 s.  The other
-        # tasks must complete during that window, not after it.
-        def fail_once(task, worker):
-            if task.key == "slow" and task.attempt == 1:
-                return "RuntimeError: injected"
-            return None
-
-        tasks = [TaskSpec(key="slow", size_hint=9.0)] + _tasks(4)
-        t0 = time.perf_counter()
-        res = ThreadedExecutor(n_workers=1).map(
-            lambda x: x,
-            tasks,
-            failure_fn=fail_once,
-            retry_policy=RetryPolicy(
-                max_attempts=2, backoff_seconds=0.5, backoff_factor=1.0
-            ),
-        )
-        assert res.lost_keys() == []
-        retry = max(
-            (r for r in res.records if r.key == "slow"),
-            key=lambda r: r.attempt,
-        )
-        others_done = max(r.end for r in res.records if r.key != "slow")
-        assert retry.ok and retry.attempt == 2
-        assert others_done < retry.start
-        assert time.perf_counter() - t0 < 5.0
 
 
 class TestCsvSchema:

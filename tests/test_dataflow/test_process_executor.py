@@ -9,7 +9,6 @@ execution, and the all-workers-dead drain.
 
 import os
 import signal
-import time
 
 import numpy as np
 import pytest
@@ -195,36 +194,6 @@ class TestFaultTolerance:
         assert len(drained) == 2
         assert all("NoEligibleWorker" in r.error for r in drained)
 
-    def test_deferred_backoff_does_not_park_slot(self):
-        # One worker; the injected key backs off ~0.5 s.  The other
-        # tasks must complete during that window, not after it.
-        def fail_once(task, worker):
-            if task.key == "slow" and task.attempt == 1:
-                return "RuntimeError: injected"
-            return None
-
-        tasks = [TaskSpec(key="slow", size_hint=9.0)] + _tasks(4)
-        t0 = time.perf_counter()
-        res = ProcessExecutor(n_workers=1).map(
-            _echo,
-            tasks,
-            failure_fn=fail_once,
-            retry_policy=RetryPolicy(
-                max_attempts=2, backoff_seconds=0.5, backoff_factor=1.0
-            ),
-        )
-        assert res.lost_keys() == []
-        retry = max(
-            (r for r in res.records if r.key == "slow"),
-            key=lambda r: r.attempt,
-        )
-        others_done = max(
-            r.end for r in res.records if r.key != "slow"
-        )
-        assert retry.ok and retry.attempt == 2
-        assert others_done < retry.start
-        assert time.perf_counter() - t0 < 5.0
-
 
 class TestWorkerLoss:
     def test_killed_worker_task_is_requeued(self):
@@ -289,16 +258,6 @@ class TestParentSideBookkeeping:
             (f"k{i}", i * 2) for i in range(6)
         }
         assert res.n_failed == 0
-
-    def test_callback_errors_surface_after_drain(self):
-        def on_complete(record, value):
-            raise RuntimeError("ledger offline")
-
-        with pytest.raises(RuntimeError, match="on_complete callback failed"):
-            ProcessExecutor(n_workers=2).map(
-                _double, [("a", 1, 1.0), ("b", 2, 1.0)],
-                on_complete=on_complete,
-            )
 
     def test_worker_metric_deltas_merge_into_parent(self):
         with use_metrics(MetricsRegistry()) as registry:

@@ -46,6 +46,7 @@ def test_chains_stay_on_the_worker_that_built_their_features(campaign):
     assert len(execution.workers) == 2
     assert all(not w.pool for w in execution.workers)
     ran_on = {r.key: r.worker_id for r in execution.records if r.ok}
+    ends = {r.key: r.end for r in execution.records if r.ok}
     starts = {r.key: r.start for r in execution.records}
     last_feature_dispatch = max(
         start for key, start in starts.items() if key.startswith("feature/")
@@ -57,15 +58,20 @@ def test_chains_stay_on_the_worker_that_built_their_features(campaign):
         needed = inference_memory_bytes(
             bundle.length, n_ensembles, bundle.msa_depth
         )
-        home = ran_on[f"feature/{rid}"]
+        feature = f"feature/{rid}"
         inference = [k for k in ran_on if k.startswith(f"inference/{rid}/")]
         assert len(inference) == 5
         if needed > std_budget:
-            rerouted += sum(ran_on[k] != home for k in inference)
+            rerouted += sum(ran_on[k] != ran_on[feature] for k in inference)
             continue
         for key in inference + [f"relax/{rid}"]:
+            # The queue homes a task on the worker that completed its
+            # latest-finishing dependency: a relax follows a stolen head
+            # into the thief's lane, and that is local, not moved.
+            deps = [feature] if key in inference else inference
+            home = ran_on[max(deps, key=ends.__getitem__)]
             if ran_on[key] != home:
-                # Only a steal moves a chain, and a worker only steals
+                # Only a steal moves a task, and a worker only steals
                 # once the shared lane (every feature task) is empty.
                 moved += 1
                 assert starts[key] >= last_feature_dispatch
