@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,10 +40,7 @@ import repro.fold.recycling as recycling
 from repro.constants import RELAX_ENERGY_TOLERANCE_KCAL
 from repro.core import benchmark_set, benchmark_suite, casp_targets
 from repro.fold import PredictionConfig, SurrogateFoldModel
-from repro.fold.recycling import (
-    distogram_signature,
-    distogram_signature_reference,
-)
+from repro.fold.recycling import distogram_signature
 from repro.msa import generate_features
 from repro.relax import SinglePassRelaxProtocol, minimize_system, relax_many
 from repro.relax.forcefield import (
@@ -53,6 +52,10 @@ from repro.relax.violations import count_violations
 from repro.structure import tm_score
 from repro.structure.protein import Structure
 from conftest import RESULTS_DIR, save_result
+
+# The broadcast distogram is a test oracle now; it lives with the tests.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.reference_kernels import distogram_signature_reference  # noqa: E402
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 KERNEL_RESIDUES = 100 if SMOKE else 500

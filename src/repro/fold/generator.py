@@ -25,7 +25,14 @@ from ..sequences.generator import (
 )
 from ..singleflight import SingleFlight
 from ..structure.protein import Structure
-from .geometry import build_ca_chain, compact_chain, ss_segments, torsions_for_segments
+from .geometry import (
+    build_ca_chain,
+    compact_chain,
+    extend_ca_chain,
+    resolve_overlaps,
+    ss_segments,
+    torsions_for_segments,
+)
 
 __all__ = ["smooth_chain_noise", "NativeFactory"]
 
@@ -156,26 +163,7 @@ class NativeFactory:
         segments = ss_segments(extra, rng, helix_bias=0.4)
         angles, torsions, ext_labels = torsions_for_segments(segments, rng)
         coords = np.vstack([base, np.zeros((extra, 3))])
-        from .geometry import CA_BOND, resolve_overlaps
-
-        for i in range(natural_length, target_length):
-            a, b, c = coords[i - 3], coords[i - 2], coords[i - 1]
-            bc = c - b
-            bc /= max(np.linalg.norm(bc), 1e-9)
-            normal = np.cross(b - a, bc)
-            nn = np.linalg.norm(normal)
-            if nn < 1e-9:
-                normal = np.cross(bc, [0.0, 0.0, 1.0])
-                nn = max(np.linalg.norm(normal), 1e-9)
-            normal /= nn
-            m = np.cross(normal, bc)
-            k = i - natural_length
-            ang = np.pi - angles[k]
-            tor = torsions[k]
-            d = CA_BOND * np.array(
-                [np.cos(ang), np.sin(ang) * np.cos(tor), np.sin(ang) * np.sin(tor)]
-            )
-            coords[i] = c + d[0] * bc + d[1] * m + d[2] * normal
+        extend_ca_chain(coords, natural_length, angles, torsions)
         coords = resolve_overlaps(coords)
         return coords, np.concatenate([labels, ext_labels])
 

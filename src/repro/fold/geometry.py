@@ -11,12 +11,26 @@ Chains are built residue-by-residue with the NeRF (natural extension
 reference frame) construction from virtual Calpha bond angles and
 torsions, then relaxed into a compact globule by a short gradient
 descent on a coarse potential (bond springs + excluded volume +
-radius-of-gyration pull + local-geometry retention).  Excluded-volume
-pairs come from a KD-tree so the step cost stays near O(N log N).
+radius-of-gyration pull + local-geometry retention).
+
+Both kernels are scaffolding — they build the hidden natives the
+surrogate is scored against, not anything the paper's workflow runs —
+so they are written to cost few interpreter round-trips while keeping
+the bits of the straightforward versions in
+``tests/reference_kernels.py``.  The NeRF loop
+(:func:`extend_ca_chain`) does its frame algebra on Python floats with
+the trigonometry precomputed array-wise: a handful of float ops and two
+``np.dot`` calls per residue.  A compaction step is one ``cKDTree``
+build and pair query (O(N log N)), two ``add.at`` scatters over the
+excluded-volume pairs, and otherwise whole-array slice arithmetic into
+reused buffers; the tree and the pair scatter are kept because the order
+in which pairs come out of the tree fixes the order their forces are
+summed in, and with it the last bit of every native.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +42,7 @@ __all__ = [
     "ss_segments",
     "torsions_for_segments",
     "build_ca_chain",
+    "extend_ca_chain",
     "target_radius_of_gyration",
     "compact_chain",
 ]
@@ -151,32 +166,82 @@ def build_ca_chain(angles: np.ndarray, torsions: np.ndarray) -> np.ndarray:
         coords[2] = coords[1] + CA_BOND * np.array(
             [np.cos(theta), np.sin(theta), 0.0]
         )
-    for i in range(3, n):
-        a, b, c = coords[i - 3], coords[i - 2], coords[i - 1]
-        bc = c - b
-        bc /= np.linalg.norm(bc)
-        ab = b - a
-        normal = np.cross(ab, bc)
-        nn = np.linalg.norm(normal)
-        if nn < 1e-9:  # collinear history; pick any perpendicular
-            normal = np.cross(bc, [0.0, 0.0, 1.0])
-            nn = np.linalg.norm(normal)
-            if nn < 1e-9:
-                normal = np.cross(bc, [0.0, 1.0, 0.0])
-                nn = np.linalg.norm(normal)
-        normal /= nn
-        m = np.cross(normal, bc)
-        ang = np.pi - angles[i]
-        tor = torsions[i]
-        d = CA_BOND * np.array(
-            [
-                np.cos(ang),
-                np.sin(ang) * np.cos(tor),
-                np.sin(ang) * np.sin(tor),
-            ]
-        )
-        coords[i] = c + d[0] * bc + d[1] * m + d[2] * normal
+    if n > 3:
+        extend_ca_chain(coords, 3, angles[3:], torsions[3:])
     return coords[:n]
+
+
+def extend_ca_chain(
+    coords: np.ndarray, start: int, angles: np.ndarray, torsions: np.ndarray
+) -> None:
+    """NeRF-place residues ``start .. start + len(angles) - 1`` in place.
+
+    Residue ``start + k`` is positioned from its three predecessors by
+    ``angles[k]`` / ``torsions[k]``; ``coords[:start]`` (``start >= 3``)
+    must already hold the chain so far.  A collinear history has no
+    defined normal; any perpendicular of the last bond is used (z cross,
+    then y cross if the bond runs along z).
+
+    The frame algebra runs on Python floats — elementwise numpy on
+    3-vectors rounds identically but costs a call per operation — with
+    two exceptions that keep the result bit-identical to the vector
+    formulation: the trigonometry is evaluated array-wise up front, and
+    the two norms stay ``sqrt(np.dot(v, v))``, because BLAS ``ddot``
+    fuses its multiply-adds and a Python sum of squares differs from it
+    in the last bit on about one vector in ten.
+    """
+    angles = np.asarray(angles, dtype=np.float64)
+    torsions = np.asarray(torsions, dtype=np.float64)
+    if start < 3 or start + angles.size > coords.shape[0]:
+        raise ValueError("extension needs three placed residues and room to grow")
+    if torsions.size != angles.size:
+        raise ValueError("angles and torsions must have the same length")
+    ang = np.pi - angles
+    sin_ang = np.sin(ang)
+    along = (CA_BOND * np.cos(ang)).tolist()
+    across = (CA_BOND * (sin_ang * np.cos(torsions))).tolist()
+    upward = (CA_BOND * (sin_ang * np.sin(torsions))).tolist()
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = coords[start - 3 : start].tolist()
+    scratch = np.empty(3)
+
+    def norm3(x: float, y: float, z: float) -> float:
+        scratch[0], scratch[1], scratch[2] = x, y, z
+        return math.sqrt(np.dot(scratch, scratch))
+
+    placed: list[tuple[float, float, float]] = []
+    for d0, d1, d2 in zip(along, across, upward):
+        # u: unit vector of the last bond (b -> c).
+        ux, uy, uz = cx - bx, cy - by, cz - bz
+        norm = max(norm3(ux, uy, uz), 1e-9)
+        ux /= norm
+        uy /= norm
+        uz /= norm
+        # n: unit normal of the (a, b, c) plane, (b - a) x u.
+        px, py, pz = bx - ax, by - ay, bz - az
+        nx, ny, nz = py * uz - pz * uy, pz * ux - px * uz, px * uy - py * ux
+        norm = norm3(nx, ny, nz)
+        if norm < 1e-9:  # collinear history; pick any perpendicular
+            # u x z, then u x y, with the zero products written out so
+            # signed zeros come out as a vector cross product leaves them.
+            nx, ny, nz = uy * 1.0 - uz * 0.0, uz * 0.0 - ux * 1.0, ux * 0.0 - uy * 0.0
+            norm = norm3(nx, ny, nz)
+            if norm < 1e-9:
+                nx, ny, nz = uy * 0.0 - uz * 1.0, uz * 0.0 - ux * 0.0, ux * 1.0 - uy * 0.0
+                # Only a zero-length last bond gets here with nothing.
+                norm = max(norm3(nx, ny, nz), 1e-9)
+        nx /= norm
+        ny /= norm
+        nz /= norm
+        # m = n x u completes the right-handed frame.
+        mx, my, mz = ny * uz - nz * uy, nz * ux - nx * uz, nx * uy - ny * ux
+        ax, ay, az = bx, by, bz
+        bx, by, bz = cx, cy, cz
+        cx = cx + d0 * ux + d1 * mx + d2 * nx
+        cy = cy + d0 * uy + d1 * my + d2 * ny
+        cz = cz + d0 * uz + d1 * mz + d2 * nz
+        placed.append((cx, cy, cz))
+    if placed:
+        coords[start : start + len(placed)] = placed
 
 
 def target_radius_of_gyration(n_residues: int) -> float:
@@ -206,6 +271,18 @@ def compact_chain(
     * retention springs on short-range (i, i+2..i+window) distances so
       secondary-structure geometry survives compaction.
 
+    What a step costs: the bond and retention springs are one stacked
+    batch (separation ``k = 1..window``; rows ``x[k:] - x[:-k]``), so
+    their distances and forces are one pass of whole-array arithmetic
+    and their scatter is two slice adds per ``k`` — ``i`` and ``i + k``
+    each run over unique, contiguous rows; the excluded-volume pairs
+    need one ``cKDTree`` build + query and two ``add.at`` scatters.
+    Those stay as they are on purpose: a residue in several close pairs
+    sums their forces in the order the tree emits the pairs, so any
+    other neighbour search or scatter changes the last bit of the fold.
+    Row norms are ``sqrt(add.reduce(v * v, axis=1))``, which is what
+    ``np.linalg.norm(v, axis=1)`` evaluates.
+
     Returns a new array; the input is not modified.
     """
     x = np.array(coords, dtype=np.float64)
@@ -216,24 +293,46 @@ def compact_chain(
         # Longer chains start further from globularity; scale the budget.
         n_steps = max(120, int(4.0 * n**0.62))
     target_rg = target_radius_of_gyration(n)
-    idx = np.arange(n)
-    # Local-geometry reference distances (i, i+k) for k=2..local_window.
-    local_refs: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for k in range(2, local_window + 1):
-        i0 = idx[:-k]
-        j0 = idx[k:]
-        d0 = np.linalg.norm(x[j0] - x[i0], axis=1)
-        local_refs.append((i0, j0, d0))
+    # Spring table, stacked by separation k: rows lo:hi of every array
+    # below belong to the pairs (i, i + k).  k = 1 are the bonds (rest
+    # length CA_BOND); k >= 2 keep the distance the input chain had.
+    spans: list[tuple[int, int, int]] = []
+    n_rows = 0
+    for k in range(1, max(local_window, 1) + 1):
+        spans.append((k, n_rows, n_rows + max(n - k, 0)))
+        n_rows = spans[-1][2]
+    n_bonds = n - 1
+    stiffness = np.full(n_rows, 2.0 * 0.3)
+    stiffness[:n_bonds] = 2.0
+    rest = np.full(n_rows, CA_BOND)
+    for k, lo, hi in spans[1:]:
+        delta = x[k:] - x[:-k]
+        rest[lo:hi] = np.sqrt(np.add.reduce(delta * delta, axis=1))
+    dvec = np.empty((n_rows, 3))
+    force = np.empty_like(dvec)
+    dist = np.empty_like(rest)
+    grad = np.empty_like(x)
+    # The Rg pull is released in the final quarter so excluded-volume
+    # overlaps created during collapse can anneal out (natives must be
+    # violation-free; model *errors* are what add clashes).
+    release_step = 3 * n_steps // 4
     for step in range(n_steps):
-        grad = np.zeros_like(x)
-        # Bond term.
-        delta = x[1:] - x[:-1]
-        dist = np.linalg.norm(delta, axis=1)
+        # Springs: dE/dx_j = 2k(d - d0) * (x_j - x_i)/d, all separations
+        # at once from the positions at the start of the step.
+        for k, lo, hi in spans:
+            np.subtract(x[k:], x[:-k], out=dvec[lo:hi])
+        np.multiply(dvec, dvec, out=force)
+        np.add.reduce(force, axis=1, out=dist)
+        np.sqrt(dist, out=dist)
         np.maximum(dist, 1e-9, out=dist)
-        coef = 2.0 * (dist - CA_BOND) / dist
-        f = coef[:, None] * delta
-        grad[1:] += f
-        grad[:-1] -= f
+        coef = stiffness * (dist - rest) / dist
+        np.multiply(coef[:, None], dvec, out=force)
+        # The terms enter the gradient in a fixed order — bonds,
+        # excluded volume, Rg pull, retention — because float addition
+        # is not associative.
+        grad.fill(0.0)
+        grad[1:] += force[:n_bonds]
+        grad[:-1] -= force[:n_bonds]
         # Excluded volume via KD-tree.
         tree = cKDTree(x)
         pairs = tree.query_pairs(_EXCLUDED_RADIUS, output_type="ndarray")
@@ -242,39 +341,35 @@ def compact_chain(
             pairs = pairs[nonadj]
         if pairs.size:
             pi, pj = pairs[:, 0], pairs[:, 1]
-            dvec = x[pj] - x[pi]
-            d = np.linalg.norm(dvec, axis=1)
+            pvec = x[pj] - x[pi]
+            d = np.sqrt(np.add.reduce(pvec * pvec, axis=1))
             np.maximum(d, 1e-9, out=d)
             # Quadratic wall: push apart with force ~ overlap.
             c = -2.0 * 4.0 * (_EXCLUDED_RADIUS - d) / d
-            fv = c[:, None] * dvec
+            fv = c[:, None] * pvec
             np.add.at(grad, pi, -fv)
             np.add.at(grad, pj, fv)
         # Radius-of-gyration pull (compaction), only when too extended.
         # Exact gradient of k*(Rg - T)^2 with k chosen so each step moves
         # atoms inward by a fixed fraction of their centered radius —
         # without the n-scaling, long chains would never collapse.
-        # The pull is released in the final quarter so excluded-volume
-        # overlaps created during collapse can anneal out (natives must
-        # be violation-free; model *errors* are what add clashes).
-        center = x.mean(axis=0)
-        centered = x - center
-        rg = np.sqrt((centered**2).sum(axis=1).mean())
-        if rg > target_rg and step < 3 * n_steps // 4:
-            grad += rg_gain * (rg - target_rg) / rg**2 * centered
-        # Local geometry retention: dE/dx_j = 2k(d - d0) * (x_j - x_i)/d.
-        for i0, j0, d0 in local_refs:
-            dvec = x[j0] - x[i0]
-            d = np.linalg.norm(dvec, axis=1)
-            np.maximum(d, 1e-9, out=d)
-            c = 2.0 * 0.3 * (d - d0) / d
-            fv = c[:, None] * dvec
-            np.add.at(grad, j0, fv)
-            np.add.at(grad, i0, -fv)
+        if step < release_step:
+            center = x.mean(axis=0)
+            centered = x - center
+            rg = np.sqrt((centered**2).sum(axis=1).mean())
+            if rg > target_rg:
+                grad += rg_gain * (rg - target_rg) / rg**2 * centered
+        # Local geometry retention.
+        for k, lo, hi in spans[1:]:
+            grad[k:] += force[lo:hi]
+            grad[:-k] -= force[lo:hi]
         # Gradient step with a norm clip for stability.
-        gnorm = np.linalg.norm(grad, axis=1, keepdims=True)
-        np.clip(gnorm, 1.0, None, out=gnorm)
-        x -= step_size * grad / gnorm * np.minimum(gnorm, 5.0)
+        gnorm = np.sqrt(np.add.reduce(grad * grad, axis=1, keepdims=True))
+        np.maximum(gnorm, 1.0, out=gnorm)
+        grad *= step_size
+        grad /= gnorm
+        grad *= np.minimum(gnorm, 5.0)
+        x -= grad
         # Tiny annealed jitter helps escape knots early on.
         if step < n_steps // 3:
             x += rng.normal(0.0, 0.02, size=x.shape)

@@ -14,8 +14,6 @@ elementwise work) instead of materialising the (L, L, 3) broadcast
 temporary, and writes into a caller-supplied buffer when one is given.
 :class:`RecycleController` keeps two ping-pong buffers so a whole
 recycling loop allocates its distograms exactly twice.
-:func:`distogram_signature_reference` retains the broadcast version as
-the numerical reference for tests.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from ..telemetry.tracer import get_tracer
 
 __all__ = [
     "distogram_signature",
-    "distogram_signature_reference",
     "distogram_change",
     "adaptive_recycle_cap",
     "RecycleController",
@@ -90,13 +87,6 @@ def distogram_signature(
     np.sqrt(out, out=out)
     np.fill_diagonal(out, 0.0)
     return out
-
-
-def distogram_signature_reference(ca: np.ndarray) -> np.ndarray:
-    """Broadcast-temporary implementation, kept as numerical reference."""
-    arr = _subsample(ca)
-    diff = arr[:, None, :] - arr[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
 def distogram_change(previous: np.ndarray, current: np.ndarray) -> float:

@@ -26,10 +26,6 @@ def tm_d0(n_residues: int) -> float:
     return max(0.5, 1.24 * (n_residues - 15) ** (1.0 / 3.0) - 1.8)
 
 
-def _score_from_distances(dist2: np.ndarray, d0: float, norm_length: int) -> float:
-    return float((1.0 / (1.0 + dist2 / (d0 * d0))).sum() / norm_length)
-
-
 def tm_score(
     model: np.ndarray,
     native: np.ndarray,
@@ -50,6 +46,20 @@ def tm_score(
         Cap on core-refinement sweeps per seed fragment.
 
     Returns the maximum score found across seed fragments, in (0, 1].
+
+    Every seed's core is refined once per sweep, all seeds in lockstep:
+    each core is gathered, centred and reduced to its 3x3 covariance on
+    its own (core sizes differ), then the Kabsch rotations, the fitted
+    chains and the scores of all cores come from one stacked
+    ``svd``/``det``/``matmul`` each — the same LAPACK/BLAS calls a
+    per-seed loop makes, so the same bits (pinned against the loop in
+    ``tests/test_fold/test_kernel_parity.py``).  What a core refines to
+    depends on nothing but the core, so a seed stops as soon as it
+    arrives at a core that has been refined already, by itself or by
+    another seed: that happened in this sweep or an earlier one, so
+    whoever got there first has at least as many sweeps left to follow
+    the trajectory, and every score along it is in the maximum without
+    this seed.
     """
     mod = np.asarray(model, dtype=np.float64)
     nat = np.asarray(native, dtype=np.float64)
@@ -60,37 +70,57 @@ def tm_score(
         raise ValueError("empty structures")
     L = norm_length if norm_length is not None else n
     d0 = tm_d0(L)
+    d_cut = max(d0, 4.5)
     # Seed fragments: full chain plus progressively shorter windows, as in
     # the reference implementation, so a well-predicted domain can anchor
     # the superposition even when the rest of the chain is wrong.
-    seeds: list[tuple[int, int]] = [(0, n)]
+    cores = [np.arange(0, n)]
     for frac in (2, 4):
         size = max(4, n // frac)
         for start in range(0, n - size + 1, max(1, size // 2)):
-            seeds.append((start, start + size))
+            cores.append(np.arange(start, start + size))
     best = 0.0
-    d_cut = max(d0, 4.5)
-    for start, stop in seeds:
-        idx = np.arange(start, stop)
-        prev_idx: np.ndarray | None = None
-        for _ in range(max_iterations):
-            if idx.size < 3:
-                break
-            sup = kabsch(mod[idx], nat[idx])
-            fitted = sup.apply(mod)
-            dist2 = ((fitted - nat) ** 2).sum(axis=1)
-            best = max(best, _score_from_distances(dist2, d0, L))
-            within = np.flatnonzero(dist2 < d_cut * d_cut)
+    refined: set[bytes] = set()
+    for _ in range(max_iterations):
+        fresh = []
+        for idx in cores:
+            key = idx.tobytes()
+            if idx.size >= 3 and key not in refined:
+                refined.add(key)
+                fresh.append(idx)
+        cores = fresh
+        if not cores:
+            break
+        # Per core: centroids and covariance of the matched sub-chains.
+        cov = np.empty((len(cores), 3, 3))
+        mob_center = np.empty((len(cores), 3))
+        ref_center = np.empty((len(cores), 3))
+        for k, idx in enumerate(cores):
+            mob, ref = mod[idx], nat[idx]
+            mob_center[k] = mob.sum(axis=0) / float(idx.size)
+            ref_center[k] = ref.sum(axis=0) / float(idx.size)
+            np.matmul((mob - mob_center[k]).T, ref - ref_center[k], out=cov[k])
+        # Stacked Kabsch: proper rotation (reflections excluded) and
+        # translation of every core, applied to the whole chain.
+        u, _s, vt = np.linalg.svd(cov)
+        v, ut = vt.transpose(0, 2, 1), u.transpose(0, 2, 1)
+        flip = np.zeros_like(cov)
+        flip[:, 0, 0] = flip[:, 1, 1] = 1.0
+        flip[:, 2, 2] = np.sign(np.linalg.det(v @ ut))
+        rotation = v @ flip @ ut
+        translation = ref_center - (rotation @ mob_center[:, :, None])[:, :, 0]
+        fitted = mod @ rotation.transpose(0, 2, 1) + translation[:, None, :]
+        dist2 = ((fitted - nat) ** 2).sum(axis=2)
+        scores = (1.0 / (1.0 + dist2 / (d0 * d0))).sum(axis=1) / L
+        best = max(best, *scores.tolist())
+        # Next core of each seed: the residues its fit brought close.
+        close = dist2 < d_cut * d_cut
+        for k in range(len(cores)):
+            within = np.flatnonzero(close[k])
             if within.size < 3:
                 # Loosen the inclusion cutoff rather than giving up.
-                order = np.argsort(dist2)
-                within = order[: max(3, n // 4)]
-            if prev_idx is not None and within.size == prev_idx.size and (
-                within == prev_idx
-            ).all():
-                break
-            prev_idx = within
-            idx = within
+                within = np.argsort(dist2[k])[: max(3, n // 4)]
+            cores[k] = within
     return best
 
 

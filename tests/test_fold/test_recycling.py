@@ -35,7 +35,7 @@ def test_signature_subsamples_long_chains():
 def test_gemm_matches_reference_across_subsample_threshold(length):
     """The GEMM distogram equals the broadcast reference for lengths on
     both sides of the 400-row subsample threshold."""
-    from repro.fold.recycling import distogram_signature_reference
+    from ..reference_kernels import distogram_signature_reference
 
     factory = NativeFactory(SequenceUniverse(9))
     ca = factory.family_fold(1000 + length, length)
