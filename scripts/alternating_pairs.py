@@ -2,7 +2,7 @@
 """Alternating parent/change pairs of the ``BENCHMARK.json`` command.
 
     python scripts/alternating_pairs.py PARENT_DIR CHANGE_DIR \\
-        --workload W [W ...] --pairs N [--seconds S]
+        --workload W [W ...] [--workload W ...] --pairs N [--seconds S]
 
 For each workload, pair ``k`` (seed ``k``, ``k = 1..N``) runs the
 command ``BENCHMARK.json`` declares — ``python3 benchmarks/campaign/run.py
@@ -174,7 +174,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("parent_dir", type=Path)
     parser.add_argument("change_dir", type=Path)
     parser.add_argument(
-        "--workload", nargs="+", help="default: every workload in BENCHMARK.json"
+        "--workload",
+        nargs="+",
+        action="extend",
+        help="repeatable; default: every workload in BENCHMARK.json",
     )
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument(

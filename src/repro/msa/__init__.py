@@ -1,6 +1,11 @@
 """MSA substrate: k-mer homology search, alignment, libraries, features."""
 
-from .align import SequenceAlignment, global_align, pairwise_identity
+from .align import (
+    SequenceAlignment,
+    global_align,
+    global_align_many,
+    pairwise_identity,
+)
 from .databases import (
     LibraryEntry,
     LibrarySuite,
@@ -27,6 +32,7 @@ from .search import (
 __all__ = [
     "SequenceAlignment",
     "global_align",
+    "global_align_many",
     "pairwise_identity",
     "LibraryEntry",
     "LibrarySuite",

@@ -109,11 +109,14 @@ class SequenceLibrary:
         return index
 
     def _build_index(self) -> KmerIndex:
-        idx = KmerIndex()
+        """A fresh in-memory index over every entry: what :attr:`index`
+        builds lazily and :func:`~repro.msa.diskindex.ensure_disk_index`
+        serialises."""
+        index = KmerIndex()
         for i, entry in enumerate(self.entries):
-            idx.add(i, entry.encoded)
-        idx.freeze()
-        return idx
+            index.add(i, entry.encoded)
+        index.freeze()
+        return index
 
     def attach_index(self, index: KmerQueryAPI) -> None:
         """Install a prebuilt index (typically a

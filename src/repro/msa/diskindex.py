@@ -5,7 +5,7 @@ replicating the sequence libraries on the parallel filesystem and
 capping concurrent searches per copy (§3.2.1).  The in-process analogue
 of that bottleneck is the :class:`~repro.msa.kmer.KmerIndex` CSR build:
 every process that searches a library pays the full
-concatenate/argsort/unique construction, so a multiprocess campaign
+sort-based construction, so a multiprocess campaign
 (PR 6) rebuilds the same index once per worker and library load
 dominates small-campaign wall time.
 
@@ -571,10 +571,7 @@ def ensure_disk_index(
     # stale DiskKmerIndex attached earlier — construct fresh then.
     mem = library.index
     if not isinstance(mem, KmerIndex):
-        mem = KmerIndex()
-        for i, entry in enumerate(library.entries):
-            mem.add(i, entry.encoded)
-        mem.freeze()
+        mem = library._build_index()
     build_disk_index(
         mem,
         target,

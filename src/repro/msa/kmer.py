@@ -94,11 +94,7 @@ def batched_query_codes(
         np.concatenate(raw) + tags if raw else np.empty(0, dtype=np.int64)
     )
     tagged.sort()
-    if tagged.size:
-        keep = np.empty(tagged.size, dtype=bool)
-        keep[0] = True
-        np.not_equal(tagged[1:], tagged[:-1], out=keep[1:])
-        tagged = tagged[keep]
+    tagged = tagged[_first_of_runs(tagged)]
     query_of_code = tagged // span
     return tagged - query_of_code * span, query_of_code
 
@@ -154,40 +150,40 @@ class KmerQueryAPI:
 class KmerIndex(KmerQueryAPI):
     """Inverted index: k-mer code -> array of sequence ids containing it.
 
-    Build once per library; query with :meth:`count_hits`, which returns
-    the number of *distinct shared k-mer types* per library sequence — a
+    Build once per library (:meth:`add` every sequence, then
+    :meth:`freeze`); query with :meth:`count_hits`, which returns the
+    number of *distinct shared k-mer types* per library sequence — a
     robust proxy for alignment score that is monotone in sequence
     identity for fixed lengths.
 
-    :meth:`freeze` converts the accumulated per-sequence code sets into
-    the CSR layout with a single concatenate + argsort; a query then
-    binary-searches the code vocabulary (``_codes``), slices the posting
-    ranges out of ``_offsets``, and bin-counts the gathered ids.  The
-    batched :meth:`count_hits_many` amortises the searchsorted and the
-    gather over many queries at once.
+    :meth:`freeze` builds the CSR layout from one sort of
+    ``code * n_sequences + seq_id`` keys over every sequence's raw
+    k-mers; a query then binary-searches the code vocabulary
+    (``_codes``), slices the posting ranges out of ``_offsets``, and
+    bin-counts the gathered ids.  The batched :meth:`count_hits_many`
+    amortises the searchsorted and the gather over many queries at once.
     """
 
     def __init__(self, k: int = DEFAULT_K) -> None:
         self.k = k
-        #: Per-sequence *distinct* code arrays, pending freeze.
+        #: Encoded sequences, pending freeze.
         self._pending: list[np.ndarray] = []
-        self._kmer_counts: list[int] = []
+        self._n_sequences = 0
         # CSR layout, populated by freeze().
         self._codes: np.ndarray | None = None  # sorted distinct codes
         self._offsets: np.ndarray | None = None  # len(_codes) + 1
         self._ids: np.ndarray | None = None  # flat int32 postings
-        self._counts_f64: np.ndarray | None = None  # cached counts array
+        self._counts_f64: np.ndarray | None = None  # distinct codes per seq
         self._lut: np.ndarray | None = None  # code -> vocab position
 
     def add(self, seq_id: int, encoded: np.ndarray) -> None:
         """Index one sequence under integer id ``seq_id``."""
         if self._codes is not None:
             raise RuntimeError("index is frozen; cannot add more sequences")
-        if seq_id != len(self._kmer_counts):
+        if seq_id != self._n_sequences:
             raise ValueError("sequences must be added with consecutive ids")
-        codes = np.unique(kmer_codes(encoded, self.k))
-        self._pending.append(codes)
-        self._kmer_counts.append(int(codes.size))
+        self._pending.append(np.array(encoded).ravel())
+        self._n_sequences += 1
 
     def freeze(self) -> None:
         """Build the CSR postings; no further additions allowed."""
@@ -198,21 +194,9 @@ class KmerIndex(KmerQueryAPI):
         # attaches a prebuilt artifact instead (workers included —
         # worker counter deltas merge back into the parent registry).
         get_metrics().counter("msa.index.rebuild").inc()
-        if self._pending:
-            all_codes = np.concatenate(self._pending)
-            ids = np.repeat(
-                np.arange(len(self._pending), dtype=np.int32),
-                [c.size for c in self._pending],
-            )
-        else:
-            all_codes = np.empty(0, dtype=np.int64)
-            ids = np.empty(0, dtype=np.int32)
-        order = np.argsort(all_codes, kind="stable")
-        sorted_codes = all_codes[order]
-        self._ids = ids[order]
-        self._codes, starts = np.unique(sorted_codes, return_index=True)
-        self._offsets = np.append(starts, sorted_codes.size).astype(np.int64)
-        self._counts_f64 = np.asarray(self._kmer_counts, dtype=np.float64)
+        self._codes, self._offsets, self._ids, self._counts_f64 = _csr_postings(
+            self._pending, self.k
+        )
         self._pending = []
         self._build_lut()
 
@@ -277,11 +261,11 @@ class KmerIndex(KmerQueryAPI):
 
     @property
     def n_sequences(self) -> int:
-        return len(self._kmer_counts)
+        return self._n_sequences
 
     def kmer_count(self, seq_id: int) -> int:
-        """Distinct k-mer types of an indexed sequence."""
-        return self._kmer_counts[seq_id]
+        """Distinct k-mer types of an indexed sequence (freezes)."""
+        return int(self.kmer_counts[seq_id])
 
     @property
     def kmer_counts(self) -> np.ndarray:
@@ -358,6 +342,50 @@ class KmerIndex(KmerQueryAPI):
         if total == 0:
             return np.empty(0, dtype=np.int32)
         return self._ids[_expand_ranges(starts, lengths, total)]
+
+
+def _csr_postings(
+    sequences: list[np.ndarray], k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """CSR ``(codes, offsets, ids, counts)`` of ``sequences`` from one sort.
+
+    Every k-mer of every sequence becomes the key ``code * n + seq_id``
+    (``n`` sequences); sorted, the distinct keys are the postings ordered
+    by code, then by ascending id.
+    """
+    n_seq = len(sequences)
+    if n_seq and int(ALPHABET_SIZE) ** k > (2**63 - 1) // n_seq:
+        raise OverflowError(f"{n_seq} sequences at k={k} overflow int64 keys")
+    residues = (
+        np.concatenate(sequences) if sequences else np.empty(0, dtype=np.int64)
+    )
+    owner = np.repeat(
+        np.arange(n_seq, dtype=np.int32), [s.size for s in sequences]
+    )
+    # k-mers of the concatenation; a window is a k-mer of one sequence
+    # when its first and last residue share an owner.
+    codes = kmer_codes(residues, k)
+    seq_of = owner[: codes.size]
+    inside = seq_of == owner[k - 1 :]
+    keys = codes[inside]
+    keys *= n_seq
+    keys += seq_of[inside]
+    keys.sort()
+    keys = keys[_first_of_runs(keys)]
+    vocab = keys // max(n_seq, 1)
+    ids = (keys - vocab * n_seq).astype(np.int32)
+    starts = np.flatnonzero(_first_of_runs(vocab))
+    offsets = np.append(starts, keys.size).astype(np.int64)
+    counts = np.bincount(ids, minlength=n_seq).astype(np.float64)
+    return vocab[starts], offsets, ids, counts
+
+
+def _first_of_runs(sorted_values: np.ndarray) -> np.ndarray:
+    """Mask of the first element of every run of equal sorted values."""
+    first = np.empty(sorted_values.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=first[1:])
+    return first
 
 
 def _expand_ranges(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..sequences.generator import ProteinRecord
-from .align import global_align
+from .align import global_align_many
 from .databases import LibraryEntry, LibrarySuite, SequenceLibrary
 from .kmer import DEFAULT_K, kmer_codes
 
@@ -136,28 +136,22 @@ def _identity_from_containment(containment: float, k: int = 5) -> float:
     return float(min(1.0, containment ** (1.0 / k)))
 
 
-def search_library(
+#: Longest query that gets exact verify alignments (longer queries keep
+#: the k-mer estimate, which is where the estimate is most accurate).
+_VERIFY_MAX_LENGTH: int = 600
+
+
+def _screen(
     query: np.ndarray,
     library: SequenceLibrary,
-    min_containment: float = 0.002,
-    max_hits: int = 256,
-    verify_top: int = 4,
-    verify_max_length: int = 600,
-    query_codes: np.ndarray | None = None,
-) -> tuple[list[Hit], int]:
-    """Search one library; returns (hits, candidate_count_scanned).
-
-    ``verify_top`` best candidates get an exact global alignment (capped
-    at ``verify_max_length`` residues — longer pairs keep the k-mer
-    estimate, which is where the estimate is most accurate anyway); the
-    rest carry the containment identity estimate.  Hits are sorted by
-    identity descending.  ``query_codes`` — the query's *distinct*
-    k-mer codes at the library's k — may be precomputed by the caller
-    (``search_suite`` extracts them once per query instead of once per
-    library).
-    """
+    query_codes: np.ndarray | None,
+    min_containment: float,
+    max_hits: int,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """K-mer prefilter of one library: ``(ranked entry ids, containment
+    per entry, candidate count)``, best candidate first."""
     if len(library) == 0:
-        return [], 0
+        return np.empty(0, dtype=np.int64), np.empty(0), 0
     if query_codes is None:
         query_codes = library.index.query_codes(query)
     n_query_kmers = max(1, int(query_codes.size))
@@ -167,30 +161,86 @@ def search_library(
     # chance between unrelated sequences (expected ~0.03 per pair), and
     # for short queries a single accident would clear any ratio cutoff.
     candidates = np.flatnonzero((sims >= min_containment) & (counts >= 3))
-    if candidates.size == 0:
-        return [], 0
     order = candidates[np.argsort(sims[candidates])[::-1]][:max_hits]
-    hits: list[Hit] = []
-    for rank, idx in enumerate(order.tolist()):
-        entry = library.entries[idx]
-        cont = float(sims[idx])
-        if rank < verify_top and query.size <= verify_max_length:
-            identity = global_align(query, entry.encoded).identity
-            verified = True
-        else:
-            identity = _identity_from_containment(cont, k=library.index.k)
-            verified = False
-        hits.append(
-            Hit(
-                entry=entry,
-                library=library.name.removesuffix("_reduced"),
-                kmer_similarity=cont,
-                identity=identity,
-                verified=verified,
+    return order, sims, int(candidates.size)
+
+
+def _search(
+    query: np.ndarray,
+    libraries: list[SequenceLibrary],
+    query_codes: list[np.ndarray | None],
+    min_containment: float,
+    max_hits: int,
+    verify_top: int,
+    verify_max_length: int,
+) -> list[tuple[list[Hit], int]]:
+    """``(hits, candidate count)`` per library, hits sorted by identity.
+
+    The ``verify_top`` best candidates of every library are aligned
+    against the query in one :func:`global_align_many` call.
+    """
+    screens = [
+        _screen(query, library, codes, min_containment, max_hits)
+        for library, codes in zip(libraries, query_codes)
+    ]
+    n_verify = max(0, verify_top) if query.size <= verify_max_length else 0
+    targets = [
+        library.entries[idx].encoded
+        for library, (order, _, _) in zip(libraries, screens)
+        for idx in order[:n_verify].tolist()
+    ]
+    aligned = iter(global_align_many(query, targets) if targets else ())
+    results = []
+    for library, (order, sims, n_candidates) in zip(libraries, screens):
+        hits: list[Hit] = []
+        for rank, idx in enumerate(order.tolist()):
+            cont = float(sims[idx])
+            verified = rank < n_verify
+            if verified:
+                identity = next(aligned).identity
+            else:
+                identity = _identity_from_containment(cont, k=library.index.k)
+            hits.append(
+                Hit(
+                    entry=library.entries[idx],
+                    library=library.name.removesuffix("_reduced"),
+                    kmer_similarity=cont,
+                    identity=identity,
+                    verified=verified,
+                )
             )
-        )
-    hits.sort(key=lambda h: h.identity, reverse=True)
-    return hits, int(candidates.size)
+        hits.sort(key=lambda h: h.identity, reverse=True)
+        results.append((hits, n_candidates))
+    return results
+
+
+def search_library(
+    query: np.ndarray,
+    library: SequenceLibrary,
+    min_containment: float = 0.002,
+    max_hits: int = 256,
+    verify_top: int = 4,
+    verify_max_length: int = _VERIFY_MAX_LENGTH,
+    query_codes: np.ndarray | None = None,
+) -> tuple[list[Hit], int]:
+    """Search one library; returns (hits, candidate_count_scanned).
+
+    ``verify_top`` best candidates get an exact global alignment (capped
+    at ``verify_max_length`` residues — longer pairs keep the k-mer
+    estimate, which is where the estimate is most accurate anyway); the
+    rest carry the containment identity estimate.  Hits are sorted by
+    identity descending.  ``query_codes`` — the query's *distinct*
+    k-mer codes at the library's k — may be precomputed by the caller.
+    """
+    return _search(
+        query,
+        [library],
+        [query_codes],
+        min_containment,
+        max_hits,
+        verify_top,
+        verify_max_length,
+    )[0]
 
 
 def search_suite(
@@ -209,15 +259,17 @@ def search_suite(
     # five times per query: once here plus once per library).
     memo = QueryCodeMemo(record.encoded)
     n_query_kmers = max(1, memo.codes_for(DEFAULT_K).size)
-    for library in suite.libraries:
-        hits, scanned = search_library(
-            record.encoded,
-            library,
-            min_containment=min_containment,
-            max_hits=max_hits_per_library,
-            verify_top=verify_top,
-            query_codes=memo.codes_for(library.index.k),
-        )
+    libraries = suite.libraries
+    searched = _search(
+        record.encoded,
+        libraries,
+        [memo.codes_for(library.index.k) for library in libraries],
+        min_containment,
+        max_hits_per_library,
+        verify_top,
+        _VERIFY_MAX_LENGTH,
+    )
+    for library, (hits, _) in zip(libraries, searched):
         result.hits.extend(hits)
         # I/O model: every search touches the library's file set once,
         # plus one postings read per query k-mer (HHblits-style).
@@ -225,6 +277,5 @@ def search_suite(
         # Bytes scanned scale with the represented (not in-memory) size:
         # a prefilter pass touches ~2% of the library.
         result.bytes_scanned += int(0.02 * library.modeled_bytes)
-        del scanned  # candidate count folded into the byte model above
     result.hits.sort(key=lambda h: h.identity, reverse=True)
     return result

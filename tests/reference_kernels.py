@@ -11,6 +11,16 @@ tolerance.  ``distogram_signature_reference`` is the broadcast-temporary
 distogram the GEMM version in :mod:`repro.fold.recycling` replaced; that
 one changed the arithmetic, so its test uses a tolerance.
 
+The MSA oracles follow the same rule.  ``global_align`` and
+``ReferenceKmerIndex`` (``add`` + ``freeze``) are the float64
+row-at-a-time aligner and the per-entry ``np.unique`` index build that
+:mod:`repro.msa.align` and :mod:`repro.msa.kmer` shipped before the
+batched exact-integer aligner and the one-sort build (commit 61b2cfb),
+copied verbatim with their scoring constants; ``reference_traceback`` is
+the seed's ``np.isclose`` traceback that the first of them was pinned
+to.  ``tests/test_msa/test_msa_kernel_parity.py`` compares against them
+bit for bit.
+
 Nothing here is tuned and nothing in ``src/`` imports it.
 """
 
@@ -26,8 +36,12 @@ from repro.fold.geometry import (
     target_radius_of_gyration,
 )
 from repro.fold.recycling import _subsample
+from repro.msa.align import SequenceAlignment
+from repro.msa.kmer import _LUT_MAX_SPAN, DEFAULT_K, kmer_codes
+from repro.sequences.alphabet import ALPHABET_SIZE
 from repro.structure.superpose import kabsch
 from repro.structure.tmscore import tm_d0
+from repro.telemetry.metrics import get_metrics
 
 __all__ = [
     "build_ca_chain",
@@ -35,6 +49,12 @@ __all__ = [
     "compact_chain",
     "tm_score",
     "distogram_signature_reference",
+    "MATCH_SCORE",
+    "MISMATCH_SCORE",
+    "GAP_PENALTY",
+    "global_align",
+    "reference_traceback",
+    "ReferenceKmerIndex",
 ]
 
 
@@ -243,3 +263,179 @@ def distogram_signature_reference(ca: np.ndarray) -> np.ndarray:
     arr = _subsample(ca)
     diff = arr[:, None, :] - arr[None, :, :]
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+# -- MSA kernels --------------------------------------------------------------
+
+MATCH_SCORE: float = 2.0
+MISMATCH_SCORE: float = -1.0
+GAP_PENALTY: float = -2.0
+
+
+def global_align(
+    query: np.ndarray,
+    target: np.ndarray,
+    gap_penalty: float = GAP_PENALTY,
+) -> SequenceAlignment:
+    """Needleman-Wunsch global alignment of two encoded sequences."""
+    q = np.asarray(query, dtype=np.int16)
+    t = np.asarray(target, dtype=np.int16)
+    l1, l2 = q.size, t.size
+    if l1 == 0 or l2 == 0:
+        raise ValueError("cannot align empty sequences")
+    if gap_penalty >= 0:
+        raise ValueError("gap_penalty must be negative")
+    # Substitution score matrix, vectorized.
+    s = np.where(q[:, None] == t[None, :], MATCH_SCORE, MISMATCH_SCORE)
+    g = gap_penalty
+    j_idx = np.arange(l2 + 1, dtype=np.float64)
+    h = np.zeros((l1 + 1, l2 + 1), dtype=np.float64)
+    h[0, :] = g * j_idx
+    h[:, 0] = g * np.arange(l1 + 1, dtype=np.float64)
+    for i in range(1, l1 + 1):
+        m = np.empty(l2 + 1)
+        m[0] = h[i, 0]
+        m[1:] = np.maximum(h[i - 1, :-1] + s[i - 1], h[i - 1, 1:] + g)
+        h[i] = np.maximum.accumulate(m - g * j_idx) + g * j_idx
+        h[i, 0] = g * i
+    # Traceback.  Scores are sums of the (exactly representable) match /
+    # mismatch / gap constants, so candidate moves either reproduce the
+    # cell value exactly or miss it by at least the smallest score gap;
+    # a fixed absolute tolerance replaces the seed's per-cell
+    # ``np.isclose`` calls (atol + rtol work) at a fraction of the cost.
+    tol = 1e-6
+    pairs: list[tuple[int, int]] = []
+    i, j = l1, l2
+    while i > 0 and j > 0:
+        here = h[i, j]
+        if abs(here - (h[i - 1, j - 1] + s[i - 1, j - 1])) <= tol:
+            pairs.append((i - 1, j - 1))
+            i -= 1
+            j -= 1
+        elif abs(here - (h[i - 1, j] + g)) <= tol:
+            i -= 1
+        else:
+            j -= 1
+    pairs.reverse()
+    pair_arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    if pair_arr.shape[0]:
+        identity = float((q[pair_arr[:, 0]] == t[pair_arr[:, 1]]).mean())
+    else:
+        identity = 0.0
+    return SequenceAlignment(
+        pairs=pair_arr, score=float(h[l1, l2]), identity=identity
+    )
+
+
+def reference_traceback(q, t, gap_penalty):
+    """The seed's np.isclose-based traceback, kept as the regression
+    oracle for the plain-float-comparison fast path."""
+    q = np.asarray(q, dtype=np.int16)
+    t = np.asarray(t, dtype=np.int16)
+    l1, l2 = q.size, t.size
+    s = np.where(q[:, None] == t[None, :], MATCH_SCORE, MISMATCH_SCORE)
+    g = gap_penalty
+    j_idx = np.arange(l2 + 1, dtype=np.float64)
+    h = np.zeros((l1 + 1, l2 + 1), dtype=np.float64)
+    h[0, :] = g * j_idx
+    h[:, 0] = g * np.arange(l1 + 1, dtype=np.float64)
+    for i in range(1, l1 + 1):
+        m = np.empty(l2 + 1)
+        m[0] = h[i, 0]
+        m[1:] = np.maximum(h[i - 1, :-1] + s[i - 1], h[i - 1, 1:] + g)
+        h[i] = np.maximum.accumulate(m - g * j_idx) + g * j_idx
+        h[i, 0] = g * i
+    pairs = []
+    i, j = l1, l2
+    while i > 0 and j > 0:
+        here = h[i, j]
+        if np.isclose(here, h[i - 1, j - 1] + s[i - 1, j - 1]):
+            pairs.append((i - 1, j - 1))
+            i -= 1
+            j -= 1
+        elif np.isclose(here, h[i - 1, j] + g):
+            i -= 1
+        else:
+            j -= 1
+    pairs.reverse()
+    pair_arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    identity = (
+        float((q[pair_arr[:, 0]] == t[pair_arr[:, 1]]).mean())
+        if pair_arr.shape[0]
+        else 0.0
+    )
+    return pair_arr, float(h[l1, l2]), identity
+
+
+class ReferenceKmerIndex:
+    """The per-entry ``np.unique`` + stable-argsort CSR build: ``add``,
+    ``freeze`` and the attributes ``build_disk_index`` reads."""
+
+    def __init__(self, k: int = DEFAULT_K) -> None:
+        self.k = k
+        #: Per-sequence *distinct* code arrays, pending freeze.
+        self._pending: list[np.ndarray] = []
+        self._kmer_counts: list[int] = []
+        # CSR layout, populated by freeze().
+        self._codes: np.ndarray | None = None  # sorted distinct codes
+        self._offsets: np.ndarray | None = None  # len(_codes) + 1
+        self._ids: np.ndarray | None = None  # flat int32 postings
+        self._counts_f64: np.ndarray | None = None  # cached counts array
+        self._lut: np.ndarray | None = None  # code -> vocab position
+
+    def add(self, seq_id: int, encoded: np.ndarray) -> None:
+        """Index one sequence under integer id ``seq_id``."""
+        if self._codes is not None:
+            raise RuntimeError("index is frozen; cannot add more sequences")
+        if seq_id != len(self._kmer_counts):
+            raise ValueError("sequences must be added with consecutive ids")
+        codes = np.unique(kmer_codes(encoded, self.k))
+        self._pending.append(codes)
+        self._kmer_counts.append(int(codes.size))
+
+    def freeze(self) -> None:
+        """Build the CSR postings; no further additions allowed."""
+        if self._codes is not None:
+            return
+        # Every CSR construction is a paid-for build; the disk-index
+        # smoke asserts this stays at zero inside a campaign that
+        # attaches a prebuilt artifact instead (workers included —
+        # worker counter deltas merge back into the parent registry).
+        get_metrics().counter("msa.index.rebuild").inc()
+        if self._pending:
+            all_codes = np.concatenate(self._pending)
+            ids = np.repeat(
+                np.arange(len(self._pending), dtype=np.int32),
+                [c.size for c in self._pending],
+            )
+        else:
+            all_codes = np.empty(0, dtype=np.int64)
+            ids = np.empty(0, dtype=np.int32)
+        order = np.argsort(all_codes, kind="stable")
+        sorted_codes = all_codes[order]
+        self._ids = ids[order]
+        self._codes, starts = np.unique(sorted_codes, return_index=True)
+        self._offsets = np.append(starts, sorted_codes.size).astype(np.int64)
+        self._counts_f64 = np.asarray(self._kmer_counts, dtype=np.float64)
+        self._pending = []
+        self._build_lut()
+
+    def _build_lut(self) -> None:
+        """Dense code -> vocab-position table, when the span is small."""
+        assert self._codes is not None
+        span = int(ALPHABET_SIZE) ** self.k
+        if self._codes.size and span <= _LUT_MAX_SPAN:
+            lut = np.full(span, -1, dtype=np.int32)
+            lut[self._codes] = np.arange(self._codes.size, dtype=np.int32)
+            self._lut = lut
+
+    @property
+    def n_sequences(self) -> int:
+        return len(self._kmer_counts)
+
+    @property
+    def kmer_counts(self) -> np.ndarray:
+        """Distinct k-mer types per sequence (float64, cached at freeze)."""
+        self.freeze()
+        assert self._counts_f64 is not None
+        return self._counts_f64
