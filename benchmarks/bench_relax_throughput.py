@@ -43,19 +43,19 @@ from repro.fold import PredictionConfig, SurrogateFoldModel
 from repro.fold.recycling import distogram_signature
 from repro.msa import generate_features
 from repro.relax import SinglePassRelaxProtocol, minimize_system, relax_many
-from repro.relax.forcefield import (
-    NEIGHBOR_SKIN,
-    ForceField,
-    ReferenceForceField,
-)
+from repro.relax.forcefield import NEIGHBOR_SKIN, ForceField
 from repro.relax.violations import count_violations
 from repro.structure import tm_score
 from repro.structure.protein import Structure
 from conftest import RESULTS_DIR, save_result
 
-# The broadcast distogram is a test oracle now; it lives with the tests.
+# The broadcast distogram and the straight-line force field are test
+# oracles now; they live with the tests.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-from tests.reference_kernels import distogram_signature_reference  # noqa: E402
+from tests.reference_kernels import (  # noqa: E402
+    ReferenceForceField,
+    distogram_signature_reference,
+)
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 KERNEL_RESIDUES = 100 if SMOKE else 500

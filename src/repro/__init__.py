@@ -13,7 +13,7 @@ Subpackages
 ``fold``       surrogate AlphaFold2: recycling, confidence, memory model
 ``relax``      molecular-mechanics relaxation, violations, protocols
 ``cluster``    Summit/Andes machine models, batch scheduler, cost model
-``dataflow``   Dask-like scheduler/worker/client (threaded + simulated)
+``dataflow``   Dask-like scheduler/workers (threaded, process + simulated)
 ``iosim``      parallel-filesystem contention and replication model
 ``core``       the paper's pipeline: presets, stages, deployment plans
 ``analysis``   proteome summaries, structural annotation, novelty

@@ -7,17 +7,18 @@ Every campaign is the same per-sequence dependency chains
 and a schedule is a *wave plan* over them (:mod:`repro.core.pipeline`):
 the stages of one wave share one executor map, so a sequence flows to
 its next stage the moment it is ready, and the join between two maps is
-a fence.  Specs carry the ParaFold pool labels — feature/relax on
-``"cpu"``, inference on ``"gpu"`` — which bind on a heterogeneous
+a fence.  Specs carry their stage row's ParaFold pool label
+(:data:`~repro.core.stagework.STAGES`) — feature/relax on ``"cpu"``,
+inference on ``"gpu"`` — which bind on a heterogeneous
 machine (the simulated campaign's CPU and GPU worker pools) and are
 inert on the pool-less local compute workers, where each worker instead
 walks whole chains from its local lane
 (:class:`~repro.dataflow.scheduler.TaskQueue`).  This module holds
-everything about the DAG that is *not* executor machinery: building it,
-cutting a wave out of it, the highmem finalizer that fires once a
-feature result reveals its MSA depth, the unified streaming simulation,
-and the makespan / time-to-first-structure / barrier composite analysis
-the benchmarks report.
+everything about the DAG that is *not* executor machinery or stage
+knowledge (:mod:`repro.core.stagework`): building it, cutting a wave
+out of it, the unified streaming simulation, and the makespan /
+time-to-first-structure / barrier composite analysis the benchmarks
+report.
 
 Key conventions (:func:`~repro.core.stagework.streaming_key` builds the
 keys, :func:`~repro.core.stagework.split_streaming_key` splits them):
@@ -37,42 +38,24 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Callable, Iterable
 
-from ..cluster.costmodel import (
-    SCHEDULER_STARTUP_SECONDS,
-    inference_task_seconds,
-)
+from ..cluster.costmodel import SCHEDULER_STARTUP_SECONDS
 from ..dataflow.faults import RetryPolicy
 from ..dataflow.scheduler import TaskRecord, TaskSpec, WorkerInfo
 from ..dataflow.simulated import SimulationResult, simulate_dataflow
-from ..fold.memory import (
-    highmem_worker_memory_bytes,
-    inference_memory_bytes,
-    standard_worker_memory_bytes,
-)
-from ..fold.model import MODEL_NAMES
-from .presets import Preset
-from .stagework import split_streaming_key, streaming_key
+from .stagework import STAGES, split_streaming_key, streaming_key
 
 __all__ = [
     "STREAM_STAGES",
     "stage_of",
     "build_campaign_specs",
     "wave_specs",
-    "stage_tasks",
-    "assemble_inference",
-    "make_inference_finalizer",
-    "oom_failure_fn",
     "simulate_streaming_campaign",
     "time_to_first_structure_seconds",
     "barrier_composite",
 ]
 
-STREAM_STAGES = ("feature", "inference", "relax")
-
-#: Pool routing, the ParaFold split: CPU-bound MSA search and (here)
-#: relaxation on one pool, accelerator-bound inference on the other.
-#: A hard constraint for pooled workers only.
-STAGE_POOLS = {"feature": "cpu", "inference": "gpu", "relax": "cpu"}
+#: The stage names, in DAG order.
+STREAM_STAGES = tuple(STAGES)
 
 
 def stage_of(spec: TaskSpec) -> str:
@@ -93,8 +76,9 @@ def build_campaign_specs(
     its kingdom bias.  Inference payloads carry ``(model_index, bias)``
     only — the feature bundle arrives later via dependency injection —
     and inference ``requires_highmem`` is left False here because MSA
-    depth is unknown until the feature task runs; the
-    :func:`make_inference_finalizer` hook raises it at promotion time.
+    depth is unknown until the feature task runs; the queue's finalize
+    hook (:meth:`~repro.core.stagework.Campaign.finalize`) raises it at
+    promotion time.
     """
     specs: list[TaskSpec] = []
     for record in records:
@@ -105,7 +89,7 @@ def build_campaign_specs(
                 key=feature_key,
                 payload=record,
                 size_hint=record.length,
-                pool=STAGE_POOLS["feature"],
+                pool=STAGES["feature"].pool,
             )
         )
         bias = bias_fn(record)
@@ -118,7 +102,7 @@ def build_campaign_specs(
                     key=key,
                     payload=(model_index, bias),
                     size_hint=record.length,
-                    pool=STAGE_POOLS["inference"],
+                    pool=STAGES["inference"].pool,
                     depends_on=(feature_key,),
                 )
             )
@@ -127,7 +111,7 @@ def build_campaign_specs(
                 key=streaming_key("relax", rid),
                 payload=None,
                 size_hint=record.length,
-                pool=STAGE_POOLS["relax"],
+                pool=STAGES["relax"].pool,
                 depends_on=tuple(inference_keys),
                 dep_mode="resolved",
             )
@@ -169,137 +153,6 @@ def wave_specs(
     return wave
 
 
-def stage_tasks(
-    specs: list[TaskSpec], stage: str, keep: Any = None
-) -> list[TaskSpec]:
-    """One stage's slice of the DAG as that stage's own batch job sees it.
-
-    Bare keys and no edges: the job starts after the fence that resolved
-    them.  ``keep`` (any container of bare keys) narrows the slice to
-    the keys that have work — only top models are relaxed.
-    """
-    tasks = []
-    for spec in specs:
-        spec_stage, bare = split_streaming_key(spec.key)
-        if spec_stage == stage and (keep is None or bare in keep):
-            tasks.append(
-                TaskSpec(
-                    key=bare,
-                    size_hint=spec.size_hint,
-                    requires_highmem=spec.requires_highmem,
-                )
-            )
-    return tasks
-
-
-def assemble_inference(
-    features: dict[str, Any],
-    preset: Preset,
-    preds_by_key: dict[str, Any],
-    bias_fn: Callable[[Any], float],
-) -> tuple[
-    dict[str, list[Any]],
-    list[tuple[str, str]],
-    dict[str, float],
-    dict[str, int],
-]:
-    """Group per-(target, model) predictions and cost every task.
-
-    ``features`` maps record id to feature bundle, ``preds_by_key`` bare
-    inference key to prediction, ``bias_fn`` a record to its kingdom
-    bias.  Returns ``(predictions, oom_failures, sim_durations,
-    memory_needed)`` keyed ``<record_id>/<model>``.  Missing keys are
-    OOM losses whose simulated duration falls back to the preset's
-    recycle cap.
-    """
-    predictions: dict[str, list[Any]] = {}
-    oom: list[tuple[str, str]] = []
-    durations: dict[str, float] = {}
-    memory_needed: dict[str, int] = {}
-    for record_id, bundle in features.items():
-        bias = bias_fn(bundle.record)
-        needed = inference_memory_bytes(
-            bundle.length, preset.n_ensembles, bundle.msa_depth
-        )
-        for name in MODEL_NAMES:
-            key = f"{record_id}/{name}"
-            memory_needed[key] = needed
-            pred = preds_by_key.get(key)
-            if pred is None:
-                oom.append((record_id, name))
-                n_recycles = preset.config(kingdom_bias=bias).recycle_cap(
-                    bundle.length
-                )
-            else:
-                predictions.setdefault(record_id, []).append(pred)
-                n_recycles = pred.n_recycles
-            durations[key] = inference_task_seconds(
-                bundle.length, n_recycles, preset.n_ensembles
-            )
-    return predictions, oom, durations, memory_needed
-
-
-def make_inference_finalizer(
-    n_ensembles: int,
-    std_budget: int,
-    use_highmem_routing: bool,
-) -> Callable[[TaskSpec, dict[str, Any]], TaskSpec]:
-    """The enqueue-time highmem router for inference tasks.
-
-    Whether a task needs a 2 TB node depends on its feature bundle's
-    MSA depth, and a wave that runs features and inference together has
-    no point at which every bundle is in hand — so the queue's finalize
-    hook decides per chain, the moment the feature dependency resolves
-    and the task is promoted to runnable (at submission, when a fence
-    or the ledger already resolved it).  Raise-only: an
-    already-escalated retry is never demoted, whatever the bundle says.
-    """
-
-    def finalize(spec: TaskSpec, resolved: dict[str, Any]) -> TaskSpec:
-        if (
-            not use_highmem_routing
-            or spec.requires_highmem
-            or stage_of(spec) != "inference"
-        ):
-            return spec
-        bundle = resolved.get(spec.depends_on[0]) if spec.depends_on else None
-        if bundle is None:
-            return spec
-        needed = inference_memory_bytes(
-            bundle.length, n_ensembles, bundle.msa_depth
-        )
-        if needed > std_budget:
-            return replace(spec, requires_highmem=True)
-        return spec
-
-    return finalize
-
-
-def oom_failure_fn(
-    needed_by_key: dict[str, int],
-) -> Callable[[TaskSpec, WorkerInfo], str | None]:
-    """Simulation ``failure_fn``: the per-worker memory wall.
-
-    A task fails where the bytes it needs exceed the budget of the
-    worker it landed on (standard or 2 TB); keys absent from
-    ``needed_by_key`` — other stages' tasks — never fail.
-    """
-    std_budget = standard_worker_memory_bytes()
-    hm_budget = highmem_worker_memory_bytes()
-
-    def oom_failure(task: TaskSpec, worker: WorkerInfo) -> str | None:
-        needed = needed_by_key.get(task.key)
-        budget = hm_budget if worker.highmem else std_budget
-        if needed is None or needed <= budget:
-            return None
-        return (
-            f"OutOfMemoryError: {task.key} needs {needed / 2**30:.1f} GiB, "
-            f"worker budget is {budget / 2**30:.1f} GiB"
-        )
-
-    return oom_failure
-
-
 def simulate_streaming_campaign(
     specs: list[TaskSpec],
     workers: list[WorkerInfo],
@@ -332,14 +185,14 @@ def time_to_first_structure_seconds(
 ) -> float:
     """APACE's latency metric: when does the first relaxed structure land?
 
-    The earliest successful ``relax/`` completion in the record stream,
-    plus the scheduler ``startup`` charge when the stream's clock
-    starts after it.  Returns 0.0 when no structure completed.
+    The earliest successful completion of the DAG's last stage
+    (``relax/``) in the record stream, plus the scheduler ``startup``
+    charge when the stream's clock starts after it.  Returns 0.0 when
+    no structure completed.
     """
+    last = STREAM_STAGES[-1]
     ends = [
-        r.end
-        for r in records
-        if r.ok and split_streaming_key(r.key)[0] == "relax"
+        r.end for r in records if r.ok and split_streaming_key(r.key)[0] == last
     ]
     if not ends:
         return 0.0

@@ -1,7 +1,6 @@
 """Dataflow substrate: Dask-like queue, one scheduling core, three drivers, reporting."""
 
 from .bubbles import bubble_seconds
-from .client import Client, Future, SchedulerService
 from .core import ExecutionResult, SchedulerCore
 from .engine import ThreadedExecutor, pooled_workers
 from .process import ProcessExecutor
@@ -26,9 +25,6 @@ from .shm import EncodedPayload, ShmRef, decode_payload, encode_payload
 from .simulated import SimulationResult, simulate_dataflow
 
 __all__ = [
-    "Client",
-    "Future",
-    "SchedulerService",
     "ExecutionResult",
     "SchedulerCore",
     "ThreadedExecutor",

@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 #: The one statistics-CSV row format shared by every writer (threaded
-#: executor, simulated executor, streaming client).  ``duration`` is
+#: and process executors, simulated executor).  ``duration`` is
 #: derived from start/end but written out so the CSV is self-contained
 #: for downstream analysis, as the paper's per-task CSVs were.
 TASK_CSV_COLUMNS: tuple[str, ...] = (

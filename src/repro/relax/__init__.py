@@ -1,7 +1,7 @@
 """Geometry optimisation: force field, minimiser, violation census, protocols."""
 
 from .batch import BatchRelaxResult, relax_many
-from .forcefield import ForceField, ForceFieldParams, ReferenceForceField
+from .forcefield import ForceField, ForceFieldParams
 from .hydrogens import MMSystem, prepare_system
 from .minimize import MinimizationResult, minimize_system
 from .protocols import (
@@ -23,7 +23,6 @@ __all__ = [
     "relax_many",
     "ForceField",
     "ForceFieldParams",
-    "ReferenceForceField",
     "MMSystem",
     "prepare_system",
     "MinimizationResult",

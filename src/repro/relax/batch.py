@@ -12,7 +12,8 @@ callers and the relaxation benchmarks all funnel through here, so there
 is exactly one batched-relax code path to keep correct.  (A campaign's
 relax tasks are not a batch: each is a node of the per-sequence DAG and
 prepares and minimises its own structure on the worker that runs it —
-:func:`repro.core.stagework.streaming_task` — through the same
+the relax row's ``run`` in :data:`repro.core.stagework.STAGES`, reached
+through :func:`~repro.core.stagework.streaming_task` — through the same
 :class:`SinglePassRelaxProtocol`.)
 
 Outcomes are independent of worker count and dispatch order; a

@@ -29,10 +29,11 @@ Two evaluators share these semantics:
   combined into one anchored quadratic (identical by completing the
   square).  L-BFGS calls this hundreds of times per round, so per-call
   allocations are limited to the returned gradient copy.
-* :class:`ReferenceForceField` — the original straight-line
-  implementation, kept verbatim as the numerical reference.  A
-  hypothesis property pins :class:`ForceField` to it at
-  ``rtol <= 1e-9``; the benchmark suite measures speedup against it.
+* ``ReferenceForceField`` — the original straight-line
+  implementation, kept verbatim as the numerical reference in
+  ``tests/reference_kernels.py``.  A hypothesis property pins
+  :class:`ForceField` to it at ``rtol <= 1e-9``; the benchmark suite
+  measures speedup against it.
 
 The non-bonded pair list is built with a KD-tree and managed as a
 Verlet list: pairs are collected out to ``radius + skin`` (0.5 A skin)
@@ -58,7 +59,6 @@ from .hydrogens import MMSystem
 __all__ = [
     "ForceFieldParams",
     "ForceField",
-    "ReferenceForceField",
     "NEIGHBOR_SKIN",
 ]
 
@@ -348,102 +348,6 @@ class ForceField:
             )
         # The workspace is reused next call; hand back a private copy.
         return energy, grad.copy()
-
-    def energy(self, particles: np.ndarray) -> float:
-        return self.energy_and_gradient(particles)[0]
-
-
-class ReferenceForceField:
-    """The original straight-line evaluator, kept as numerical reference.
-
-    Allocates per call and scatters with ``np.add.at``; term-by-term
-    readable.  :class:`ForceField` is property-tested against this at
-    ``rtol <= 1e-9`` and benchmarked against it in
-    ``bench_relax_throughput``.  Both share :func:`_candidate_pairs`, so
-    a fresh build of each sees the same neighbour semantics (the fast
-    list additionally prunes beyond ``radius + skin``, which changes
-    nothing while the Verlet contract holds).
-    """
-
-    def __init__(
-        self, system: MMSystem, params: ForceFieldParams | None = None
-    ) -> None:
-        self.system = system
-        self.params = params or ForceFieldParams()
-        self.n = system.n_residues
-        self._pairs: np.ndarray | None = None
-        self._radii: np.ndarray | None = None
-        self.rebuild_neighbors(system.particles)
-
-    def rebuild_neighbors(self, particles: np.ndarray) -> None:
-        """Rebuild the non-bonded pair list at the given coordinates."""
-        self._cb_ideal = pseudo_cb(np.asarray(particles)[: self.n])
-        self._pairs, self._radii = _candidate_pairs(
-            np.asarray(particles, dtype=np.float64), self.n
-        )
-
-    def energy_and_gradient(
-        self, particles: np.ndarray
-    ) -> tuple[float, np.ndarray]:
-        """Total energy (kcal/mol) and gradient at the given coordinates."""
-        x = np.asarray(particles, dtype=np.float64)
-        if x.shape != self.system.particles.shape:
-            raise ValueError("particle array shape mismatch")
-        p = self.params
-        n = self.n
-        energy = 0.0
-        grad = np.zeros_like(x)
-
-        # CA-CA bonds.
-        delta = x[1:n] - x[: n - 1]
-        dist = np.linalg.norm(delta, axis=1)
-        np.maximum(dist, _DIST_FLOOR, out=dist)
-        dev = dist - CA_CA_BOND_LENGTH
-        energy += p.k_bond * float((dev**2).sum())
-        f = (2.0 * p.k_bond * dev / dist)[:, None] * delta
-        grad[1:n] += f
-        grad[: n - 1] -= f
-
-        # CA-CB bonds.
-        delta = x[n:] - x[:n]
-        dist = np.linalg.norm(delta, axis=1)
-        np.maximum(dist, _DIST_FLOOR, out=dist)
-        dev = dist - _CB_BOND_LENGTH
-        energy += p.k_cb_bond * float((dev**2).sum())
-        f = (2.0 * p.k_cb_bond * dev / dist)[:, None] * delta
-        grad[n:] += f
-        grad[:n] -= f
-
-        # CB geometry idealisation: pull CB toward the virtual-CB
-        # position implied by the backbone frame frozen at the last
-        # neighbour-list rebuild.
-        delta = x[n:] - self._cb_ideal
-        energy += p.k_cb_geometry * float((delta**2).sum())
-        grad[n:] += 2.0 * p.k_cb_geometry * delta
-
-        # Excluded volume.
-        assert self._pairs is not None and self._radii is not None
-        if self._pairs.shape[0]:
-            i, j = self._pairs[:, 0], self._pairs[:, 1]
-            dvec = x[j] - x[i]
-            dist = np.linalg.norm(dvec, axis=1)
-            np.maximum(dist, _DIST_FLOOR, out=dist)
-            overlap = self._radii - dist
-            active = overlap > 0
-            if active.any():
-                ov = overlap[active]
-                energy += p.k_repulsion * float((ov**2).sum())
-                c = (-2.0 * p.k_repulsion * ov / dist[active])[:, None]
-                fv = c * dvec[active]
-                np.add.at(grad, j[active], fv)
-                np.add.at(grad, i[active], -fv)
-
-        # Positional restraints (k = 10 kcal/mol/A^2, paper §3.2.3).
-        delta = x - self.system.reference
-        energy += p.k_restraint * float((delta**2).sum())
-        grad += 2.0 * p.k_restraint * delta
-
-        return energy, grad
 
     def energy(self, particles: np.ndarray) -> float:
         return self.energy_and_gradient(particles)[0]

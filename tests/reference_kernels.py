@@ -21,6 +21,13 @@ the seed's ``np.isclose`` traceback that the first of them was pinned
 to.  ``tests/test_msa/test_msa_kernel_parity.py`` compares against them
 bit for bit.
 
+``ReferenceForceField`` is the straight-line relaxation force field
+that :mod:`repro.relax.forcefield` shipped before its fused kernel,
+copied verbatim.  That rewrite changed the arithmetic, so
+``tests/test_relax/test_forcefield_fast.py`` pins ``ForceField`` to it
+at ``rtol <= 1e-9``; ``benchmarks/bench_relax_throughput.py`` measures
+the speedup against it.
+
 Nothing here is tuned and nothing in ``src/`` imports it.
 """
 
@@ -38,7 +45,15 @@ from repro.fold.geometry import (
 from repro.fold.recycling import _subsample
 from repro.msa.align import SequenceAlignment
 from repro.msa.kmer import _LUT_MAX_SPAN, DEFAULT_K, kmer_codes
+from repro.relax.forcefield import (
+    _CB_BOND_LENGTH,
+    _DIST_FLOOR,
+    ForceFieldParams,
+    _candidate_pairs,
+)
+from repro.relax.hydrogens import MMSystem
 from repro.sequences.alphabet import ALPHABET_SIZE
+from repro.structure.protein import CA_CA_BOND_LENGTH, pseudo_cb
 from repro.structure.superpose import kabsch
 from repro.structure.tmscore import tm_d0
 from repro.telemetry.metrics import get_metrics
@@ -55,6 +70,7 @@ __all__ = [
     "global_align",
     "reference_traceback",
     "ReferenceKmerIndex",
+    "ReferenceForceField",
 ]
 
 
@@ -439,3 +455,102 @@ class ReferenceKmerIndex:
         self.freeze()
         assert self._counts_f64 is not None
         return self._counts_f64
+
+
+# -- Relaxation force field ---------------------------------------------------
+
+
+class ReferenceForceField:
+    """The original straight-line evaluator, kept as numerical reference.
+
+    Allocates per call and scatters with ``np.add.at``; term-by-term
+    readable.  :class:`ForceField` is property-tested against this at
+    ``rtol <= 1e-9`` and benchmarked against it in
+    ``bench_relax_throughput``.  Both share :func:`_candidate_pairs`, so
+    a fresh build of each sees the same neighbour semantics (the fast
+    list additionally prunes beyond ``radius + skin``, which changes
+    nothing while the Verlet contract holds).
+    """
+
+    def __init__(
+        self, system: MMSystem, params: ForceFieldParams | None = None
+    ) -> None:
+        self.system = system
+        self.params = params or ForceFieldParams()
+        self.n = system.n_residues
+        self._pairs: np.ndarray | None = None
+        self._radii: np.ndarray | None = None
+        self.rebuild_neighbors(system.particles)
+
+    def rebuild_neighbors(self, particles: np.ndarray) -> None:
+        """Rebuild the non-bonded pair list at the given coordinates."""
+        self._cb_ideal = pseudo_cb(np.asarray(particles)[: self.n])
+        self._pairs, self._radii = _candidate_pairs(
+            np.asarray(particles, dtype=np.float64), self.n
+        )
+
+    def energy_and_gradient(
+        self, particles: np.ndarray
+    ) -> tuple[float, np.ndarray]:
+        """Total energy (kcal/mol) and gradient at the given coordinates."""
+        x = np.asarray(particles, dtype=np.float64)
+        if x.shape != self.system.particles.shape:
+            raise ValueError("particle array shape mismatch")
+        p = self.params
+        n = self.n
+        energy = 0.0
+        grad = np.zeros_like(x)
+
+        # CA-CA bonds.
+        delta = x[1:n] - x[: n - 1]
+        dist = np.linalg.norm(delta, axis=1)
+        np.maximum(dist, _DIST_FLOOR, out=dist)
+        dev = dist - CA_CA_BOND_LENGTH
+        energy += p.k_bond * float((dev**2).sum())
+        f = (2.0 * p.k_bond * dev / dist)[:, None] * delta
+        grad[1:n] += f
+        grad[: n - 1] -= f
+
+        # CA-CB bonds.
+        delta = x[n:] - x[:n]
+        dist = np.linalg.norm(delta, axis=1)
+        np.maximum(dist, _DIST_FLOOR, out=dist)
+        dev = dist - _CB_BOND_LENGTH
+        energy += p.k_cb_bond * float((dev**2).sum())
+        f = (2.0 * p.k_cb_bond * dev / dist)[:, None] * delta
+        grad[n:] += f
+        grad[:n] -= f
+
+        # CB geometry idealisation: pull CB toward the virtual-CB
+        # position implied by the backbone frame frozen at the last
+        # neighbour-list rebuild.
+        delta = x[n:] - self._cb_ideal
+        energy += p.k_cb_geometry * float((delta**2).sum())
+        grad[n:] += 2.0 * p.k_cb_geometry * delta
+
+        # Excluded volume.
+        assert self._pairs is not None and self._radii is not None
+        if self._pairs.shape[0]:
+            i, j = self._pairs[:, 0], self._pairs[:, 1]
+            dvec = x[j] - x[i]
+            dist = np.linalg.norm(dvec, axis=1)
+            np.maximum(dist, _DIST_FLOOR, out=dist)
+            overlap = self._radii - dist
+            active = overlap > 0
+            if active.any():
+                ov = overlap[active]
+                energy += p.k_repulsion * float((ov**2).sum())
+                c = (-2.0 * p.k_repulsion * ov / dist[active])[:, None]
+                fv = c * dvec[active]
+                np.add.at(grad, j[active], fv)
+                np.add.at(grad, i[active], -fv)
+
+        # Positional restraints (k = 10 kcal/mol/A^2, paper §3.2.3).
+        delta = x - self.system.reference
+        energy += p.k_restraint * float((delta**2).sum())
+        grad += 2.0 * p.k_restraint * delta
+
+        return energy, grad
+
+    def energy(self, particles: np.ndarray) -> float:
+        return self.energy_and_gradient(particles)[0]

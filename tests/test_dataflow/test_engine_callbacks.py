@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+import csv
 import threading
 import time
 
 import pytest
 
-from repro.dataflow import RetryPolicy, ThreadedExecutor
+from repro.dataflow import (
+    TASK_CSV_COLUMNS,
+    RetryPolicy,
+    SchedulerCore,
+    TaskQueue,
+    ThreadedExecutor,
+    load_task_csv,
+    make_workers,
+)
+from repro.dataflow.engine import run_threaded
+from repro.dataflow.reporting import format_task_row
 from repro.dataflow.scheduler import TaskSpec
 from repro.dataflow.simulated import UNSCHEDULED_WORKER_ID
 
@@ -78,6 +89,79 @@ class TestOnComplete:
             )
         # The run drained first: every task still executed and reported.
         assert sorted(completed) == ["also-good", "bad", "good"]
+
+
+class TestRunThreaded:
+    """``run_threaded`` over a caller-owned worker registry and queue.
+
+    The §3.3 deployment shape without a client front end: workers are
+    registered up front, the task list is sorted descending into a shared
+    queue, and per-task results and statistics stream out of the core's
+    completion callback as tasks finish.
+    """
+
+    def test_map_and_gather(self):
+        keys = [f"k{i}" for i in range(12)]
+        core = SchedulerCore(
+            make_workers(n_nodes=1, workers_per_node=3),
+            [(key, i, float(i)) for i, key in enumerate(keys)],
+            queue=TaskQueue(),
+        )
+        result = run_threaded(core, lambda x: x * x)
+        assert [result.results[key] for key in keys] == [i * i for i in range(12)]
+        assert all(r.ok for r in result.records)
+
+    def test_worker_registration_required(self):
+        with pytest.raises(ValueError, match="at least one worker"):
+            SchedulerCore([], [("k", 1, 1.0)])
+
+    def test_failures_surface_in_futures(self):
+        """A task's exception reaches its own completion, no one else's."""
+        done: dict[str, tuple] = {}
+        lock = threading.Lock()
+
+        def on_complete(record, value):
+            with lock:
+                done[record.key] = (record.ok, value, record.error)
+
+        def work(x):
+            if x == 2:
+                raise ValueError("bad input")
+            return x
+
+        core = SchedulerCore(
+            make_workers(n_nodes=1, workers_per_node=3),
+            [(f"k{i}", i, 1.0) for i in range(4)],
+            on_complete=on_complete,
+        )
+        result = run_threaded(core, work)
+        assert done["k1"] == (True, 1, "")
+        ok, value, error = done["k2"]
+        assert not ok and value is None
+        assert "ValueError: bad input" in error
+        assert "k2" not in result.results and result.n_failed == 1
+
+    def test_stats_csv_streaming(self, tmp_path):
+        """Rows written from the callback read back as the shared schema."""
+        csv_path = tmp_path / "stats.csv"
+        lock = threading.Lock()
+        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(TASK_CSV_COLUMNS)
+
+            def on_complete(record, value):
+                with lock:
+                    writer.writerow(format_task_row(record))
+
+            core = SchedulerCore(
+                make_workers(n_nodes=1, workers_per_node=3),
+                [(f"k{i}", i, 1.0) for i in range(6)],
+                on_complete=on_complete,
+            )
+            run_threaded(core, lambda x: x)
+        records = load_task_csv(csv_path)
+        assert sorted(r.key for r in records) == [f"k{i}" for i in range(6)]
+        assert all(r.ok for r in records)
 
 
 class TestIdleWait:

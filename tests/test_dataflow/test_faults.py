@@ -370,8 +370,8 @@ class TestCsvSchema:
         ]
 
     def test_writers_agree(self, tmp_path):
-        """Threaded, simulated and client CSVs share one schema."""
-        from repro.dataflow import Client, SchedulerService, TASK_CSV_COLUMNS
+        """Threaded and simulated CSVs share one schema."""
+        from repro.dataflow import TASK_CSV_COLUMNS
 
         ex = ThreadedExecutor(n_workers=2)
         threaded = ex.map(lambda x: x, [(f"k{i}", i, 1.0) for i in range(4)])
@@ -385,18 +385,8 @@ class TestCsvSchema:
         s_path = tmp_path / "sim.csv"
         write_task_csv(sim.records, s_path)
 
-        svc = SchedulerService(tmp_path / "sched.json")
-        svc.spawn_workers(1, 2)
-        client = Client(svc.scheduler_file).connect(svc)
-        c_path = tmp_path / "client.csv"
-        client.map(
-            lambda x: x, [(f"k{i}", i, 1.0) for i in range(4)],
-            stats_csv=c_path,
-        )
-        svc.close()
-
         header = ",".join(TASK_CSV_COLUMNS)
-        for path in (t_path, s_path, c_path):
+        for path in (t_path, s_path):
             assert path.read_text().splitlines()[0] == header
             for record in load_task_csv(path):
                 assert record.ok and record.attempt == 1

@@ -23,9 +23,10 @@ from repro.relax.forcefield import (
     _CB_REPULSION_RADIUS,
     NEIGHBOR_SKIN,
     ForceField,
-    ReferenceForceField,
 )
 from repro.structure.protein import Structure
+
+from ..reference_kernels import ReferenceForceField
 
 
 def _random_system(n_residues: int, seed: int):
