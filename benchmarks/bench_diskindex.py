@@ -6,11 +6,13 @@ Writes ``benchmarks/results/BENCH_diskindex.json`` with four sections:
   subsequent process pays (checksum-verified first open and the
   headers-only warm attach workers use).  The attach must be orders of
   magnitude cheaper than the CSR rebuild it replaces.
-* throughput — batched ``count_hits_many`` queries/sec of the
-  memory-mapped sharded index against the in-memory CSR index, results
-  asserted bit-identical.  The acceptance bar at full size is the CSR
-  baseline recorded by ``BENCH_search.json`` (~20.6k q/s): mmap-backed
-  sharding must not give back the batched-query win.
+* throughput — queries/sec of the memory-mapped index against the
+  in-memory CSR index, both batched (``count_hits_many``) and one query
+  at a time (``count_hits_codes``, what ``repro.msa.search`` calls),
+  results asserted bit-identical.  The acceptance bar at full size is
+  the batched CSR baseline recorded by ``BENCH_search.json`` (~20.6k
+  q/s): reading the postings through ``mmap`` must not give back the
+  batched-query win.
 * worker scaling — simulated N-process campaign cost: N CSR rebuilds
   vs. one build + N attaches.
 * replica contention — the :mod:`repro.iosim.replication` sweep over
@@ -19,7 +21,7 @@ Writes ``benchmarks/results/BENCH_diskindex.json`` with four sections:
 
 ``BENCH_SMOKE=1`` shrinks sizes so CI validates artifact production in
 seconds; the throughput bar is then informational (tiny vocabularies
-measure routing overhead, not gather bandwidth).
+measure call overhead, not gather bandwidth).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from repro.iosim import (
     searches_per_replica_sweep,
     sweet_spot_jobs_per_replica,
 )
-from repro.msa import DiskKmerIndex, build_disk_index
+from repro.msa import build_disk_index, open_disk_index
 from repro.msa.kmer import KmerIndex
 from repro.sequences import mutate_sequence, random_sequence
 from conftest import RESULTS_DIR, save_result
@@ -43,7 +45,6 @@ from conftest import RESULTS_DIR, save_result
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 N_LIBRARY = 300 if SMOKE else 5000
 N_QUERIES = 16 if SMOKE else 64
-N_SHARDS = 4
 #: Full-size acceptance bar: the batched CSR baseline from
 #: ``BENCH_search.json`` (csr_batched_queries_per_sec = 20576.9 on the
 #: reference box).  The disk-backed index must meet it.
@@ -94,21 +95,32 @@ def test_diskindex_throughput_and_replicas(tmp_path):
         tmp_path / "bench.artifact",
         library_name="bench",
         fingerprint="b" * 64,
-        n_shards=N_SHARDS,
     )
     artifact_build_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    disk = DiskKmerIndex.open(artifact, verify=True)
+    disk = open_disk_index(artifact, verify=True)
     cold_attach_s = time.perf_counter() - t0
-    warm_attach_s, disk = _best_of(lambda: DiskKmerIndex.open(artifact))
+    warm_attach_s, disk = _best_of(lambda: open_disk_index(artifact))
 
     mem_s, mem_counts = _best_of(lambda: mem.count_hits_many(queries))
     disk_s, disk_counts = _best_of(lambda: disk.count_hits_many(queries))
     mem_qps = len(queries) / mem_s
     disk_qps = len(queries) / disk_s
 
-    bit_identical = bool((mem_counts == disk_counts).all())
+    code_sets = [mem.query_codes(q) for q in queries]
+    mem_one_s, mem_rows = _best_of(
+        lambda: [mem.count_hits_codes(c) for c in code_sets]
+    )
+    disk_one_s, disk_rows = _best_of(
+        lambda: [disk.count_hits_codes(c) for c in code_sets]
+    )
+    mem_one_qps = len(queries) / mem_one_s
+    disk_one_qps = len(queries) / disk_one_s
+
+    bit_identical = bool((mem_counts == disk_counts).all()) and all(
+        (m == d).all() for m, d in zip(mem_rows, disk_rows)
+    )
     assert bit_identical
     assert disk_qps >= MIN_DISK_QPS
     # Warm attach replaces a per-worker CSR rebuild: it must be cheap.
@@ -134,7 +146,6 @@ def test_diskindex_throughput_and_replicas(tmp_path):
         "smoke": SMOKE,
         "library_entries": N_LIBRARY,
         "n_queries": N_QUERIES,
-        "n_shards": disk.n_shards,
         "artifact_bytes": disk.nbytes,
         "csr_build_seconds": csr_build_s,
         "artifact_build_seconds": artifact_build_s,
@@ -142,6 +153,8 @@ def test_diskindex_throughput_and_replicas(tmp_path):
         "warm_attach_seconds": warm_attach_s,
         "mem_batched_queries_per_sec": mem_qps,
         "disk_batched_queries_per_sec": disk_qps,
+        "mem_single_queries_per_sec": mem_one_qps,
+        "disk_single_queries_per_sec": disk_one_qps,
         "bit_identical": bit_identical,
         "worker_scaling": worker_rows,
         "replica_sweep": sweep,
@@ -158,7 +171,7 @@ def test_diskindex_throughput_and_replicas(tmp_path):
         "\n".join(
             [
                 f"disk-index artifact, {N_LIBRARY}-entry library, "
-                f"{N_QUERIES} queries, {disk.n_shards} shards"
+                f"{N_QUERIES} queries"
                 + (" [smoke]" if SMOKE else ""),
                 f"CSR rebuild (per worker) : {csr_build_s * 1e3:9.1f} ms",
                 f"artifact build (once)    : "
@@ -167,7 +180,9 @@ def test_diskindex_throughput_and_replicas(tmp_path):
                 f"cold attach (verified)   : {cold_attach_s * 1e3:9.1f} ms",
                 f"warm attach (per worker) : {warm_attach_s * 1e3:9.1f} ms",
                 f"in-memory batched        : {mem_qps:9.0f} q/s",
-                f"mmap sharded batched     : {disk_qps:9.0f} q/s"
+                f"mmap batched             : {disk_qps:9.0f} q/s",
+                f"in-memory one at a time  : {mem_one_qps:9.0f} q/s",
+                f"mmap one at a time       : {disk_one_qps:9.0f} q/s"
                 f"  (bit-identical: {bit_identical})",
                 f"replica sweet spot       : {peak['jobs_per_replica']} "
                 f"searches/replica "

@@ -1,12 +1,13 @@
 #!/usr/bin/env python
-"""End-to-end smoke test for the sharded on-disk k-mer index.
+"""End-to-end smoke test for the memory-mapped on-disk k-mer index.
 
 Three layers, mirroring the paper's build-once / search-everywhere
 library deployment (§3.2.1):
 
 1. **Artifact build.**  ``repro index build`` must produce one
    fingerprint-addressed artifact directory per library, each with a
-   valid manifest.
+   schema-2 manifest and exactly the manifest's array files beside it
+   (no ``shard*`` file from the retired schema-1 layout).
 
 2. **Zero-rebuild campaign.**  A ``repro campaign --executor process
    --index-dir`` run against the prebuilt artifacts must finish with
@@ -82,8 +83,17 @@ def artifact_build(index_dir: Path) -> None:
     for m in manifests:
         manifest = json.loads(m.read_text())
         check(
-            manifest.get("schema") == "repro.msa.diskindex/1",
+            manifest.get("schema") == "repro.msa.diskindex/2",
             f"{m.parent.name}: manifest schema",
+        )
+        files = {p.name for p in m.parent.iterdir()}
+        expected = {m.name} | {
+            spec["file"] for spec in manifest["arrays"].values()
+        }
+        check(
+            files == expected and not any(f.startswith("shard") for f in files),
+            f"{m.parent.name}: exactly the manifest's arrays "
+            f"({sorted(files)})",
         )
 
 

@@ -116,12 +116,12 @@ class FeatureCache:
         ``id(suite)`` silently inherited a dead suite's fingerprint
         whenever CPython reused the id — wrong key, wrong features.
 
-        Keys are *index-backend-invariant*: the fingerprint hashes the
-        library content plus the k-mer width, never the index
-        representation, so a campaign that attaches a memory-mapped
-        :class:`~repro.msa.diskindex.DiskKmerIndex` (``--index-dir``)
-        hits the same cache entries as one that builds CSR indexes
-        in-process — the two backends score bit-identically.
+        Keys do not depend on where the index lives: the fingerprint
+        hashes the library content plus the k-mer width, never the index
+        arrays, so a campaign that memory-maps its indexes from
+        disk artifacts (``--index-dir``) hits the same cache entries as
+        one that builds CSR indexes in-process — both run the same
+        :class:`~repro.msa.kmer.KmerIndex` queries over the same arrays.
         """
         suite_fp = suite.fingerprint()
         h = hashlib.sha256()

@@ -13,7 +13,7 @@ Five subcommands mirror how the paper's pipeline was actually driven:
 * ``repro relax``     — relax an existing (CA-trace) PDB file.
 * ``repro table1``    — a scaled-down regeneration of Table 1.
 * ``repro report``    — render a saved telemetry run directory.
-* ``repro index build`` — build the sharded, memory-mapped on-disk
+* ``repro index build`` — build the memory-mapped on-disk
   k-mer index artifacts a campaign attaches with ``--index-dir``
   (built once, shared read-only by every worker process).
 
@@ -94,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--index-dir", type=Path, default=None,
                    help="directory of on-disk k-mer index artifacts (see "
                         "`repro index build`); the feature stage attaches "
-                        "the memory-mapped shards instead of building an "
-                        "in-memory index per process — build with the same "
+                        "the memory-mapped index arrays instead of building "
+                        "an in-memory index per process — build with the same "
                         "--species/--scale/--seed or the artifacts are "
                         "rebuilt here")
     # Fault-injection hook for the kill/resume smoke test: SIGKILL this
@@ -122,20 +122,19 @@ def build_parser() -> argparse.ArgumentParser:
     ixsub = ix.add_subparsers(dest="index_command", required=True)
     ib = ixsub.add_parser(
         "build",
-        help="build sharded, memory-mapped index artifacts for a suite",
+        help="build memory-mapped k-mer index artifacts for a suite",
         description="Builds one fingerprint-addressed artifact per library "
         "of the (reduced) suite a campaign with the same "
-        "--species/--scale/--seed would search, so `repro campaign "
-        "--index-dir` attaches them instead of rebuilding.",
+        "--species/--scale/--seed would search: the k-mer index's own "
+        "CSR arrays as .npy files beside a checksummed manifest.  "
+        "`repro campaign --index-dir` memory-maps them read-only instead "
+        "of rebuilding the index in every process.",
     )
     ib.add_argument("--species", default="D_vulgaris",
                     choices=["P_mercurii", "R_rubrum", "D_vulgaris",
                              "S_divinum"])
     ib.add_argument("--scale", type=float, default=0.004)
     ib.add_argument("--seed", type=int, default=0)
-    ib.add_argument("--shards", type=int, default=None,
-                    help="shard files per library (default: "
-                         "postings-balanced 4-way split)")
     ib.add_argument("--out", type=Path, required=True,
                     help="artifact root directory (the campaign's "
                          "--index-dir)")
@@ -307,12 +306,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if inf.oom_failures:
         print(f"failures : {len(inf.oom_failures)} OOM tasks")
     if args.index_dir is not None:
-        from .msa.diskindex import DiskKmerIndex
-
         attached = [
-            lib.index
-            for lib in suite.libraries
-            if isinstance(lib.index, DiskKmerIndex)
+            lib.index for lib in suite.libraries if lib.index.path is not None
         ]
         print(
             f"index    : {len(attached)} mmap artifact(s), "
@@ -386,23 +381,21 @@ def _cmd_index(args: argparse.Namespace) -> int:
     import time
 
     from .msa import build_suite
-    from .msa.diskindex import DEFAULT_SHARDS, ensure_disk_index
+    from .msa.diskindex import ensure_disk_index
     from .sequences import SequenceUniverse
 
     universe = SequenceUniverse(args.seed)
     suite = build_suite(
         universe, [args.species], seed=args.seed, scale=args.scale
     ).reduced()
-    n_shards = args.shards if args.shards is not None else DEFAULT_SHARDS
     total_bytes = 0
     for library in suite.libraries:
         t0 = time.perf_counter()
-        disk = ensure_disk_index(library, args.out, n_shards=n_shards)
+        disk = ensure_disk_index(library, args.out)
         dt = time.perf_counter() - t0
         total_bytes += disk.nbytes
         print(
             f"{library.name:>16}: {disk.n_sequences:6d} sequences, "
-            f"{disk.total_postings:9d} postings -> {disk.n_shards} shard(s), "
             f"{disk.nbytes / 1e6:7.1f} MB in {dt:6.2f}s  "
             f"[{disk.path.name}]"
         )

@@ -196,14 +196,16 @@ class ProteomePipeline:
     #: streaming collapses the stage-boundary bubbles and
     #: time-to-first-structure.
     schedule: str = "barrier"
-    #: Directory of sharded, memory-mapped k-mer index artifacts
-    #: (``repro index build`` / :func:`repro.msa.diskindex.build_disk_index`).
-    #: When set, the feature stage attaches every suite library to its
-    #: on-disk index before dispatch: the artifact is opened (built
-    #: first if absent, quarantined + rebuilt if corrupt) and workers
-    #: share the memory-mapped postings through the page cache instead
-    #: of rebuilding a CSR index per process (``msa.index.rebuild``
-    #: stays zero when the artifact was prebuilt).
+    #: Directory of on-disk k-mer index artifacts — each library's
+    #: frozen CSR arrays (``repro index build`` /
+    #: :func:`repro.msa.diskindex.build_disk_index`).  When set, the
+    #: feature stage attaches every suite library to its artifact before
+    #: dispatch: the artifact is opened (built first if absent,
+    #: quarantined + rebuilt if corrupt or of an older schema) as a
+    #: :class:`~repro.msa.kmer.KmerIndex` over memory-mapped arrays, and
+    #: workers share those pages through the page cache instead of
+    #: rebuilding a CSR index per process (``msa.index.rebuild`` stays
+    #: zero when the artifact was prebuilt).
     index_dir: str | Path | None = None
     #: Optional content-addressed cache for the feature stage.
     feature_cache: FeatureCache | None = None

@@ -19,11 +19,11 @@ initializer, :func:`init_stages`, that runs each wave row's ``init`` to
 stash that stage's heavy shared state in the process-local :data:`_CTX`.
 The threaded executor runs it once, the process executor once per
 worker; under ``spawn`` its initargs travel by pickle — which is why
-:class:`~repro.msa.kmer.KmerIndex` ships its frozen CSR arrays but not
-its lookup table, :class:`~repro.cache.FeatureCache` reduces to its
-directory path, and a :class:`~repro.msa.diskindex.DiskKmerIndex` (a
-pipeline ``index_dir``) re-attaches by manifest path.  Nothing lazy is
-pre-built: k-mer indexes, natives and family folds are built by the
+an in-memory :class:`~repro.msa.kmer.KmerIndex` ships its frozen CSR
+arrays but not its lookup table, one memory-mapped from a pipeline
+``index_dir`` re-attaches by artifact path, and
+:class:`~repro.cache.FeatureCache` reduces to its directory path.
+Nothing lazy is pre-built: k-mer indexes, natives and family folds are built by the
 first task that needs them, once per process — threads that miss the
 same key wait for one build (:mod:`repro.singleflight`) — so the cost
 shows in that task's counter delta (``msa.index.rebuild``).

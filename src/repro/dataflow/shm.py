@@ -27,7 +27,7 @@ in copying.  Object trees are walked structurally (dict / list / tuple
 / namedtuple / dataclass); anything else is left to the pickle whole.
 
 Arrays that are already *file-backed* (``np.memmap``, e.g. the
-memory-mapped disk-index shards of :mod:`repro.msa.diskindex`) never
+memory-mapped disk-index arrays of :mod:`repro.msa.diskindex`) never
 touch shared memory at all: copying a read-only mapping through
 ``/dev/shm`` would duplicate bytes every process can already share via
 the page cache.  They travel as :class:`MmapRef` placeholders — path +

@@ -92,8 +92,8 @@ def paper_plan(dataset_bytes: int) -> ReplicationPlan:
 
 # -- Index-replica contention (the disk-index artifact on shared disk) -------
 
-#: Filesystem spec for placing *disk-index artifacts* (sharded mmap
-#: postings, ``repro.msa.diskindex``) on the parallel filesystem.
+#: Filesystem spec for placing *disk-index artifacts* (memory-mapped
+#: CSR postings, ``repro.msa.diskindex``) on the parallel filesystem.
 #: Random postings gathers degrade *superlinearly* once a copy is
 #: oversubscribed — seek-bound readers steal each other's readahead —
 #: which the default linear model cannot express; an exponent > 1 makes

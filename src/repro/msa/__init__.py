@@ -14,13 +14,13 @@ from .databases import (
     build_suite,
 )
 from .diskindex import (
-    DiskKmerIndex,
     attach_suite_index,
     build_disk_index,
     ensure_disk_index,
+    open_disk_index,
 )
 from .features import FeatureBundle, FeatureGenConfig, generate_features
-from .kmer import KmerIndex, KmerQueryAPI, batched_query_codes, kmer_codes
+from .kmer import KmerIndex, kmer_codes
 from .search import (
     Hit,
     QueryCodeMemo,
@@ -43,11 +43,9 @@ __all__ = [
     "FeatureGenConfig",
     "generate_features",
     "KmerIndex",
-    "KmerQueryAPI",
     "kmer_codes",
-    "batched_query_codes",
-    "DiskKmerIndex",
     "build_disk_index",
+    "open_disk_index",
     "ensure_disk_index",
     "attach_suite_index",
     "Hit",

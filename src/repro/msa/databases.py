@@ -29,7 +29,7 @@ from ..sequences.generator import (
 )
 from ..sequences.proteome import SPECIES, species_family_base
 from ..singleflight import SingleFlight
-from .kmer import DEFAULT_K, KmerIndex, KmerQueryAPI
+from .kmer import DEFAULT_K, KmerIndex
 
 __all__ = [
     "LibraryEntry",
@@ -83,7 +83,7 @@ class SequenceLibrary:
         #: Number of distinct file reads one search issues against this
         #: library (HHblits-style many-small-reads; drives metadata load).
         self.files_per_search = int(files_per_search)
-        self._index: KmerQueryAPI | None = None
+        self._index: KmerIndex | None = None
         self._index_flights = SingleFlight("msa.index.coalesced")
         self._fingerprint: str | None = None
 
@@ -91,7 +91,7 @@ class SequenceLibrary:
         return len(self.entries)
 
     @property
-    def index(self) -> KmerQueryAPI:
+    def index(self) -> KmerIndex:
         """The k-mer index over all entries.
 
         Lazily builds an in-memory :class:`KmerIndex` unless a prebuilt
@@ -118,10 +118,10 @@ class SequenceLibrary:
         index.freeze()
         return index
 
-    def attach_index(self, index: KmerQueryAPI) -> None:
-        """Install a prebuilt index (typically a
-        :class:`~repro.msa.diskindex.DiskKmerIndex` over memory-mapped
-        shard artifacts) instead of building one in memory.
+    def attach_index(self, index: KmerIndex) -> None:
+        """Install a prebuilt index (typically one memory-mapped from a
+        disk artifact, :func:`~repro.msa.diskindex.open_disk_index`)
+        instead of building one in memory.
 
         The index must cover exactly this library: sequence counts must
         agree, and an index that knows the fingerprint of the library it
@@ -132,8 +132,8 @@ class SequenceLibrary:
                 f"index covers {index.n_sequences} sequences, library "
                 f"{self.name!r} has {len(self.entries)}"
             )
-        index_fp = getattr(index, "fingerprint", None)
-        if isinstance(index_fp, str) and index_fp != self.fingerprint():
+        index_fp = index.fingerprint
+        if index_fp is not None and index_fp != self.fingerprint():
             raise ValueError(
                 f"index fingerprint {index_fp[:12]} does not match "
                 f"library {self.name!r} ({self.fingerprint()[:12]})"

@@ -16,12 +16,14 @@ loop touches a posting list on either the build or the query path.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from ..sequences.alphabet import ALPHABET_SIZE
 from ..telemetry.metrics import get_metrics
 
-__all__ = ["kmer_codes", "batched_query_codes", "KmerQueryAPI", "KmerIndex"]
+__all__ = ["kmer_codes", "KmerIndex"]
 
 #: Default k-mer length.  20^5 = 3.2M possible 5-mers: the shared-k-mer
 #: *containment* of unrelated sequences is then ~1e-4 while homologs at
@@ -56,7 +58,7 @@ def kmer_codes(encoded: np.ndarray, k: int = DEFAULT_K) -> np.ndarray:
     return codes
 
 
-def batched_query_codes(
+def _batched_query_codes(
     queries: list[np.ndarray], k: int, precomputed_codes: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Deduplicated ``(codes, query_of_code)`` for a query batch.
@@ -65,9 +67,7 @@ def batched_query_codes(
     ``precomputed_codes=True``, per-query *distinct* code arrays.  For
     encoded inputs the per-query dedup collapses into one sort over
     ``query_id * span + code`` tags — the trick that makes the batched
-    query path fast.  Shared by the in-memory :class:`KmerIndex` and the
-    sharded :class:`~repro.msa.diskindex.DiskKmerIndex` so both produce
-    byte-identical batched counts.
+    query path fast.
     """
     n_q = len(queries)
     if precomputed_codes:
@@ -99,55 +99,7 @@ def batched_query_codes(
     return tagged - query_of_code * span, query_of_code
 
 
-class KmerQueryAPI:
-    """Shared query surface over a frozen k-mer postings layout.
-
-    Concrete indexes (:class:`KmerIndex` in memory,
-    :class:`~repro.msa.diskindex.DiskKmerIndex` on disk) provide ``k``,
-    ``n_sequences``, ``kmer_counts`` and :meth:`count_hits_codes`; the
-    derived similarity measures live here once so both backends score
-    identically by construction.
-    """
-
-    k: int
-
-    def query_codes(self, encoded: np.ndarray) -> np.ndarray:
-        """Distinct k-mer codes of a query, as :meth:`count_hits` uses them."""
-        return np.unique(kmer_codes(encoded, self.k))
-
-    def count_hits(self, encoded: np.ndarray) -> np.ndarray:
-        """Distinct shared k-mer types between query and every sequence.
-
-        Returns an int64 array of length ``n_sequences``.
-        """
-        return self.count_hits_codes(self.query_codes(encoded))
-
-    def count_hits_codes(self, codes: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def jaccard(self, encoded: np.ndarray) -> np.ndarray:
-        """K-mer Jaccard similarity of the query against every sequence."""
-        codes = self.query_codes(encoded)
-        hits = self.count_hits_codes(codes)
-        union = int(codes.size) + self.kmer_counts - hits
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sim = np.where(union > 0, hits / union, 0.0)
-        return sim
-
-    def containment(self, encoded: np.ndarray) -> np.ndarray:
-        """Shared k-mer types / query k-mer types, per library sequence.
-
-        Under independent substitutions at identity ``p``, a k-mer
-        survives in a homolog with probability ~``p**k``, so containment
-        inverts cleanly to an identity estimate; unlike Jaccard it is not
-        diluted by the library sequence being longer than the query.
-        """
-        codes = self.query_codes(encoded)
-        query_kmers = max(1, int(codes.size))
-        return self.count_hits_codes(codes) / float(query_kmers)
-
-
-class KmerIndex(KmerQueryAPI):
+class KmerIndex:
     """Inverted index: k-mer code -> array of sequence ids containing it.
 
     Build once per library (:meth:`add` every sequence, then
@@ -158,10 +110,15 @@ class KmerIndex(KmerQueryAPI):
 
     :meth:`freeze` builds the CSR layout from one sort of
     ``code * n_sequences + seq_id`` keys over every sequence's raw
-    k-mers; a query then binary-searches the code vocabulary
+    k-mers; a query then looks the codes up in the vocabulary
     (``_codes``), slices the posting ranges out of ``_offsets``, and
     bin-counts the gathered ids.  The batched :meth:`count_hits_many`
-    amortises the searchsorted and the gather over many queries at once.
+    amortises the lookup and the gather over many queries at once.
+
+    The same class serves a library's on-disk artifact:
+    :func:`~repro.msa.diskindex.open_disk_index` wraps the artifact's
+    memory-mapped arrays with :meth:`from_arrays` and sets :attr:`path`
+    and :attr:`fingerprint`, so there is one query implementation.
     """
 
     def __init__(self, k: int = DEFAULT_K) -> None:
@@ -175,6 +132,29 @@ class KmerIndex(KmerQueryAPI):
         self._ids: np.ndarray | None = None  # flat int32 postings
         self._counts_f64: np.ndarray | None = None  # distinct codes per seq
         self._lut: np.ndarray | None = None  # code -> vocab position
+        #: Artifact directory, when the arrays are memory-mapped from
+        #: disk; ``None`` for an index built in memory.
+        self.path: Path | None = None
+        #: Fingerprint of the library a disk artifact was built from.
+        self.fingerprint: str | None = None
+
+    @classmethod
+    def from_arrays(
+        cls,
+        k: int,
+        codes: np.ndarray,
+        offsets: np.ndarray,
+        ids: np.ndarray,
+        counts: np.ndarray,
+        lut: np.ndarray | None = None,
+    ) -> "KmerIndex":
+        """A frozen index over existing CSR arrays, used as given (a
+        memory-mapped array stays mapped)."""
+        index = cls(k)
+        index._codes, index._offsets, index._ids = codes, offsets, ids
+        index._counts_f64, index._lut = counts, lut
+        index._n_sequences = int(counts.size)
+        return index
 
     def add(self, seq_id: int, encoded: np.ndarray) -> None:
         """Index one sequence under integer id ``seq_id``."""
@@ -210,10 +190,19 @@ class KmerIndex(KmerQueryAPI):
             self._lut = lut
 
     # -- pickling ------------------------------------------------------------
-    # A process-executor worker rehydrates the index once per process,
-    # so the pickle carries only the frozen CSR arrays: the dense LUT
-    # (33 MB at k=5) is derived state rebuilt on arrival, and pending
-    # per-sequence code sets are folded in by freezing before export.
+    # A memory-mapped index pickles as its artifact path: the receiver
+    # maps the same files (one more page-cache sharer), so no postings
+    # cross a pipe or /dev/shm.  An in-memory index ships its frozen CSR
+    # arrays, once per worker process: the dense LUT (20**5 x 4 B =
+    # 12.8 MB at k=5) is derived state rebuilt on arrival, and pending
+    # sequences are folded in by freezing before export.
+    def __reduce_ex__(self, protocol):
+        if self.path is not None:
+            from .diskindex import open_disk_index
+
+            return open_disk_index, (str(self.path),)
+        return super().__reduce_ex__(protocol)
+
     def __getstate__(self) -> dict:
         self.freeze()
         state = self.__dict__.copy()
@@ -259,6 +248,23 @@ class KmerIndex(KmerQueryAPI):
         matched = self._codes[pos] == codes
         return pos[matched], matched
 
+    def _postings(
+        self, codes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(ids, lengths, matched)`` of every posting hit by ``codes``.
+
+        ``ids`` is the flat sequence-id gather, ``lengths`` the posting
+        count of each matched code (repeat a per-code value by it to
+        align it with ``ids``), ``matched`` the mask over ``codes``.
+        """
+        self.freeze()
+        assert self._offsets is not None and self._ids is not None
+        pos, matched = self._vocab_positions(codes)
+        starts = self._offsets[pos]
+        lengths = self._offsets[pos + 1] - starts
+        ids = self._ids[_expand_ranges(starts, lengths, int(lengths.sum()))]
+        return ids, lengths, matched
+
     @property
     def n_sequences(self) -> int:
         return self._n_sequences
@@ -274,6 +280,37 @@ class KmerIndex(KmerQueryAPI):
         assert self._counts_f64 is not None
         return self._counts_f64
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the frozen arrays — for a mapped index, what every
+        attached process shares one page-cache copy of."""
+        self.freeze()
+        arrays = (self._codes, self._offsets, self._ids, self._counts_f64, self._lut)
+        return sum(a.nbytes for a in arrays if a is not None)
+
+    def query_codes(self, encoded: np.ndarray) -> np.ndarray:
+        """Distinct k-mer codes of a query, as :meth:`count_hits` uses them."""
+        return np.unique(kmer_codes(encoded, self.k))
+
+    def count_hits(self, encoded: np.ndarray) -> np.ndarray:
+        """Distinct shared k-mer types between query and every sequence.
+
+        Returns an int64 array of length ``n_sequences``.
+        """
+        return self.count_hits_codes(self.query_codes(encoded))
+
+    def containment(self, encoded: np.ndarray) -> np.ndarray:
+        """Shared k-mer types / query k-mer types, per library sequence.
+
+        Under independent substitutions at identity ``p``, a k-mer
+        survives in a homolog with probability ~``p**k``, so containment
+        inverts cleanly to an identity estimate; unlike Jaccard it is not
+        diluted by the library sequence being longer than the query.
+        """
+        codes = self.query_codes(encoded)
+        query_kmers = max(1, int(codes.size))
+        return self.count_hits_codes(codes) / float(query_kmers)
+
     def count_hits_codes(self, codes: np.ndarray) -> np.ndarray:
         """:meth:`count_hits` for a precomputed *distinct* code array.
 
@@ -281,13 +318,10 @@ class KmerIndex(KmerQueryAPI):
         containment denominator in ``repro.msa.search``) extract it once
         instead of recomputing it per library.
         """
-        self.freeze()
-        assert self._codes is not None and self._offsets is not None
-        assert self._ids is not None
-        hit_ids = self._gather_posting_ids(np.asarray(codes, dtype=np.int64))
-        return np.bincount(hit_ids, minlength=self.n_sequences).astype(
-            np.int64
+        ids, _lengths, _matched = self._postings(
+            np.asarray(codes, dtype=np.int64)
         )
+        return np.bincount(ids, minlength=self.n_sequences).astype(np.int64)
 
     def count_hits_many(
         self, queries: list[np.ndarray], precomputed_codes: bool = False
@@ -296,52 +330,19 @@ class KmerIndex(KmerQueryAPI):
 
         ``queries`` holds encoded sequences (default) or, with
         ``precomputed_codes=True``, per-query *distinct* code arrays.
-        All queries share a single searchsorted over the vocabulary and
-        a single gather over the postings, and for encoded inputs even
-        the per-query dedup collapses into one ``np.unique`` over
-        ``query_id * span + code`` tags — which is where the batched
-        path earns its throughput.
+        All queries share a single vocabulary lookup and a single gather
+        over the postings, and for encoded inputs even the per-query
+        dedup collapses into one sort over ``query_id * span + code``
+        tags — which is where the batched path earns its throughput.
         """
-        self.freeze()
-        assert self._codes is not None and self._offsets is not None
-        assert self._ids is not None
-        n_seq = self.n_sequences
-        n_q = len(queries)
-        if n_q == 0:
-            return np.zeros((0, n_seq), dtype=np.int64)
-        all_codes, query_of_code = batched_query_codes(
+        all_codes, query_of_code = _batched_query_codes(
             queries, self.k, precomputed_codes=precomputed_codes
         )
-        if all_codes.size == 0 or self._codes.size == 0 or n_seq == 0:
-            return np.zeros((n_q, n_seq), dtype=np.int64)
-        pos, matched = self._vocab_positions(all_codes)
-        starts = self._offsets[pos]
-        lengths = self._offsets[pos + 1] - starts
-        total = int(lengths.sum())
-        if total == 0:
-            return np.zeros((n_q, n_seq), dtype=np.int64)
-        hit_ids = self._ids[_expand_ranges(starts, lengths, total)]
+        ids, lengths, matched = self._postings(all_codes)
+        n_q, n_seq = len(queries), self.n_sequences
         hit_query = np.repeat(query_of_code[matched], lengths)
-        flat = np.bincount(
-            hit_query * n_seq + hit_ids, minlength=n_q * n_seq
-        )
+        flat = np.bincount(hit_query * n_seq + ids, minlength=n_q * n_seq)
         return flat.reshape(n_q, n_seq).astype(np.int64, copy=False)
-
-    def _gather_posting_ids(self, codes: np.ndarray) -> np.ndarray:
-        """Flat sequence ids of every posting hit by the given codes."""
-        assert self._codes is not None and self._offsets is not None
-        assert self._ids is not None
-        if codes.size == 0 or self._codes.size == 0:
-            return np.empty(0, dtype=np.int32)
-        pos, _matched = self._vocab_positions(codes)
-        if pos.size == 0:
-            return np.empty(0, dtype=np.int32)
-        starts = self._offsets[pos]
-        lengths = self._offsets[pos + 1] - starts
-        total = int(lengths.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int32)
-        return self._ids[_expand_ranges(starts, lengths, total)]
 
 
 def _csr_postings(

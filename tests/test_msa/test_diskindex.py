@@ -1,5 +1,6 @@
-"""Sharded on-disk k-mer index: bit-identity, pickling, quarantine."""
+"""On-disk k-mer index: bit-identity, pickling, quarantine."""
 
+import json
 import pickle
 
 import numpy as np
@@ -8,17 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.msa import (
-    DiskKmerIndex,
     KmerIndex,
     attach_suite_index,
     build_disk_index,
     ensure_disk_index,
+    open_disk_index,
+    search_suite,
 )
-from repro.msa.diskindex import (
-    DEFAULT_SHARDS,
-    IndexCorruptError,
-    shard_boundaries,
-)
+from repro.msa.diskindex import DISKINDEX_SCHEMA, IndexCorruptError
 from repro.sequences import mutate_sequence, random_sequence
 from repro.sequences.alphabet import ALPHABET_SIZE
 from repro.telemetry.metrics import MetricsRegistry, use_metrics
@@ -32,39 +30,37 @@ def _build_mem(seqs, k=5):
     return idx
 
 
-def _build_disk(tmp_path, seqs, k=5, n_shards=DEFAULT_SHARDS, name="lib"):
+def _build_disk(tmp_path, seqs, k=5, name="lib"):
     mem = _build_mem(seqs, k=k)
     out = build_disk_index(
         mem,
         tmp_path / f"{name}.artifact",
         library_name=name,
         fingerprint="f" * 64,
-        n_shards=n_shards,
     )
-    return mem, DiskKmerIndex.open(out)
+    return mem, open_disk_index(out)
 
 
-class TestShardBoundaries:
-    def test_shape_and_monotonicity(self, rng):
-        idx = _build_mem([random_sequence(200, rng) for _ in range(10)])
-        for n in (1, 2, 4, 7):
-            b = shard_boundaries(idx, n)
-            assert b.size == n + 1
-            assert b[0] == 0 and b[-1] == ALPHABET_SIZE**idx.k
-            assert (np.diff(b) > 0).all()
+def _library(rng, name, n=6, length=80):
+    from repro.msa.databases import LibraryEntry, SequenceLibrary
 
-    def test_empty_vocabulary_falls_back_to_even_grid(self):
-        idx = KmerIndex()
-        idx.freeze()
-        b = shard_boundaries(idx, 4)
-        assert b.size == 5
-        assert (np.diff(b) > 0).all()
+    entries = [
+        LibraryEntry(
+            entry_id=f"e{i}",
+            encoded=random_sequence(length, rng),
+            family_id=None,
+            divergence=0.0,
+            annotated=False,
+        )
+        for i in range(n)
+    ]
+    return SequenceLibrary(name, entries, modeled_bytes=1000)
 
-    def test_more_shards_than_span_clamps(self):
-        idx = KmerIndex(k=1)
-        idx.freeze()
-        b = shard_boundaries(idx, 10_000)
-        assert b.size <= ALPHABET_SIZE + 1
+
+def _flip_last_byte(path):
+    raw = bytearray(path.read_bytes())
+    raw[-1] ^= 0xFF
+    path.write_bytes(bytes(raw))
 
 
 class TestBitIdentity:
@@ -75,35 +71,19 @@ class TestBitIdentity:
         queries.append(random_sequence(150, rng))
         assert (disk.count_hits_many(queries) == mem.count_hits_many(queries)).all()
         q = queries[0]
+        codes = mem.query_codes(q)
+        assert (disk.count_hits_codes(codes) == mem.count_hits_codes(codes)).all()
         assert (disk.count_hits(q) == mem.count_hits(q)).all()
-        assert (disk.jaccard(q) == mem.jaccard(q)).all()
         assert (disk.containment(q) == mem.containment(q)).all()
 
-    def test_shard_edge_codes(self, rng, tmp_path):
-        # Synthetic code batches sitting exactly on every boundary value
-        # (and one before/after each): routing must place each code in
-        # exactly one shard, so counts still match the monolith.
-        seqs = [random_sequence(120, rng) for _ in range(8)]
-        mem, disk = _build_disk(tmp_path, seqs, n_shards=5)
-        edges = disk.boundaries
-        probe = np.unique(
-            np.clip(
-                np.concatenate([edges - 1, edges, edges + 1]),
-                0,
-                int(edges[-1]) - 1,
-            )
-        )
-        assert (disk.count_hits_codes(probe) == mem.count_hits_codes(probe)).all()
-
-    def test_empty_shards(self, rng, tmp_path):
-        # One short sequence yields a tiny, concentrated vocabulary; the
-        # even-grid fallback then produces shards that own no codes.
-        seqs = [random_sequence(12, rng)]
-        mem, disk = _build_disk(tmp_path, seqs, n_shards=8)
-        assert any(s.codes.size == 0 for s in disk._shards)
-        q = random_sequence(80, rng)
-        assert (disk.count_hits(q) == mem.count_hits(q)).all()
-        assert (disk.count_hits(seqs[0]) == mem.count_hits(seqs[0])).all()
+    def test_mapped_arrays_are_the_memory_arrays(self, rng, tmp_path):
+        seqs = [random_sequence(90, rng) for _ in range(5)]
+        mem, disk = _build_disk(tmp_path, seqs)
+        for name in ("_codes", "_offsets", "_ids", "_counts_f64", "_lut"):
+            mapped = getattr(disk, name)
+            assert isinstance(mapped.base, np.memmap)
+            assert np.array_equal(mapped, getattr(mem, name))
+        assert disk.k == mem.k and disk.n_sequences == mem.n_sequences
 
     def test_empty_vocabulary_index(self, rng, tmp_path):
         # All sequences shorter than k: no k-mers anywhere.
@@ -121,35 +101,33 @@ class TestBitIdentity:
         assert disk.count_hits_many([q]).shape == (1, 0)
 
     def test_k6_searchsorted_fallback(self, rng, tmp_path):
-        # k=6 span exceeds _LUT_MAX_SPAN: shards carry no LUT and route
-        # through the binary-search path.
+        # k=6 span exceeds _LUT_MAX_SPAN: no LUT is saved, and queries
+        # take the binary-search path.
         seqs = [random_sequence(100, rng) for _ in range(6)]
         mem, disk = _build_disk(tmp_path, seqs, k=6)
-        assert all(s.lut is None for s in disk._shards)
+        assert disk._lut is None
+        assert not (disk.path / "lut.npy").exists()
         queries = [mutate_sequence(seqs[i], rng, 0.3) for i in range(6)]
         assert (disk.count_hits_many(queries) == mem.count_hits_many(queries)).all()
 
     @given(
         seed=st.integers(0, 10_000),
         n_seqs=st.integers(0, 10),
-        n_shards=st.integers(1, 9),
+        k=st.sampled_from([3, 6]),
     )
     @settings(max_examples=25, deadline=None)
-    def test_random_libraries_and_shard_counts(
-        self, seed, n_seqs, n_shards, tmp_path_factory
-    ):
-        # The acceptance property: for random libraries and shard
-        # counts, the sharded mmap index reproduces the in-memory CSR
-        # results bit-for-bit.  k=3 keeps artifact builds fast.
+    def test_random_libraries(self, seed, n_seqs, k, tmp_path_factory):
+        # The acceptance property: for random libraries, the mapped
+        # index reproduces the in-memory CSR results bit-for-bit on both
+        # query entry points and both vocabulary lookups (k=3 has a
+        # LUT, k=6 binary-searches).
         rng = np.random.default_rng(seed)
         tmp = tmp_path_factory.mktemp("prop")
         seqs = [
             random_sequence(int(rng.integers(2, 80)), rng)
             for _ in range(n_seqs)
         ]
-        mem, disk = _build_disk(
-            tmp, seqs, k=3, n_shards=n_shards, name=f"lib{seed}"
-        )
+        mem, disk = _build_disk(tmp, seqs, k=k, name=f"lib{seed}")
         queries = [
             mutate_sequence(seqs[int(rng.integers(0, n_seqs))], rng, 0.3)
             if n_seqs
@@ -159,6 +137,19 @@ class TestBitIdentity:
         assert (
             disk.count_hits_many(queries) == mem.count_hits_many(queries)
         ).all()
+        span = int(ALPHABET_SIZE) ** k
+        foreign = np.unique(
+            np.concatenate(
+                [
+                    rng.integers(0, span, size=16),
+                    [-7, -1, span, span + 11, 10**12],
+                ]
+            )
+        )
+        for codes in [mem.query_codes(q) for q in queries] + [foreign]:
+            assert (
+                disk.count_hits_codes(codes) == mem.count_hits_codes(codes)
+            ).all()
 
 
 class TestPickle:
@@ -166,8 +157,8 @@ class TestPickle:
         seqs = [random_sequence(300, rng) for _ in range(40)]
         _, disk = _build_disk(tmp_path, seqs)
         blob = pickle.dumps(disk)
-        # The payload is a manifest path, so it must be orders of
-        # magnitude smaller than the artifact it re-attaches to.
+        # The payload is an artifact path, so it must be orders of
+        # magnitude smaller than the arrays it re-attaches to.
         assert len(blob) < 512
         assert disk.nbytes > 10 * len(blob)
 
@@ -193,24 +184,42 @@ class TestArtifactLifecycle:
         with pytest.raises(FileExistsError):
             build_disk_index(mem, out, library_name="a", fingerprint="x" * 64)
 
+    def test_artifact_holds_exactly_the_manifest_arrays(self, rng, tmp_path):
+        _, disk = _build_disk(tmp_path, [random_sequence(80, rng)])
+        manifest = json.loads((disk.path / "manifest.json").read_text())
+        assert manifest["schema"] == DISKINDEX_SCHEMA
+        assert sorted(manifest["arrays"]) == sorted(
+            ["codes", "offsets", "ids", "counts", "lut"]
+        )
+        files = {p.name for p in disk.path.iterdir()}
+        assert files == {"manifest.json"} | {
+            spec["file"] for spec in manifest["arrays"].values()
+        }
+
     def test_open_rejects_wrong_schema(self, tmp_path):
         bad = tmp_path / "bad"
         bad.mkdir()
         (bad / "manifest.json").write_text('{"schema": "nope/9"}')
         with pytest.raises(IndexCorruptError):
-            DiskKmerIndex.open(bad)
+            open_disk_index(bad)
+
+    def test_open_rejects_inconsistent_shapes(self, rng, tmp_path):
+        _, disk = _build_disk(tmp_path, [random_sequence(80, rng)])
+        manifest_file = disk.path / "manifest.json"
+        manifest = json.loads(manifest_file.read_text())
+        manifest["n_sequences"] += 1
+        manifest_file.write_text(json.dumps(manifest))
+        with pytest.raises(IndexCorruptError):
+            open_disk_index(disk.path)
 
     def test_verify_catches_flipped_bytes(self, rng, tmp_path):
         seqs = [random_sequence(100, rng) for _ in range(5)]
         _, disk = _build_disk(tmp_path, seqs)
-        ids_file = next(disk.path.glob("shard*.ids.npy"))
-        raw = bytearray(ids_file.read_bytes())
-        raw[-1] ^= 0xFF
-        ids_file.write_bytes(bytes(raw))
+        _flip_last_byte(disk.path / "ids.npy")
         with pytest.raises(IndexCorruptError):
-            DiskKmerIndex.open(disk.path, verify=True)
+            open_disk_index(disk.path, verify=True)
         # Structural open alone does not hash, so it still succeeds.
-        DiskKmerIndex.open(disk.path, verify=False)
+        open_disk_index(disk.path, verify=False)
 
 
 class TestEnsureDiskIndex:
@@ -231,26 +240,10 @@ class TestEnsureDiskIndex:
         assert again.path == first.path
 
     def test_quarantines_and_rebuilds_corrupt_artifact(self, rng, tmp_path):
-        from repro.msa.databases import LibraryEntry, SequenceLibrary
-
-        entries = [
-            LibraryEntry(
-                entry_id=f"e{i}",
-                encoded=random_sequence(80, rng),
-                family_id=None,
-                divergence=0.0,
-                annotated=False,
-            )
-            for i in range(6)
-        ]
-        lib = SequenceLibrary("qlib", entries, modeled_bytes=1000)
+        lib = _library(rng, "qlib")
         disk = ensure_disk_index(lib, tmp_path)
-        reference = disk.count_hits_many([e.encoded for e in entries])
-        # Corrupt one shard file in place.
-        victim = next(disk.path.glob("shard*.ids.npy"))
-        raw = bytearray(victim.read_bytes())
-        raw[-1] ^= 0xFF
-        victim.write_bytes(bytes(raw))
+        reference = disk.count_hits_many([e.encoded for e in lib.entries])
+        _flip_last_byte(disk.path / "ids.npy")
         with use_metrics(MetricsRegistry()) as registry:
             rebuilt = ensure_disk_index(lib, tmp_path)
             corrupt = registry.counter_values()["msa.index.corrupt"]
@@ -259,27 +252,74 @@ class TestEnsureDiskIndex:
         assert len(quarantined) == 1
         assert rebuilt.path.exists()
         assert (
-            rebuilt.count_hits_many([e.encoded for e in entries]) == reference
+            rebuilt.count_hits_many([e.encoded for e in lib.entries]) == reference
         ).all()
 
-    def test_fingerprint_mismatch_quarantines(self, rng, tmp_path):
-        from repro.msa.databases import LibraryEntry, SequenceLibrary
+    def test_rebuild_never_copies_the_quarantined_mapping(self, rng, tmp_path):
+        # The library is attached to the artifact that then goes bad: the
+        # rebuild must come from a fresh in-memory build, not from the
+        # attached mapping of the corrupted files.
+        lib = _library(rng, "mlib")
+        queries = [e.encoded for e in lib.entries]
+        reference = lib.index.count_hits_many(queries)
+        lib.attach_index(ensure_disk_index(lib, tmp_path))
+        victim = lib.index.path / "ids.npy"
+        raw = bytearray(victim.read_bytes())
+        raw[-8:] = b"\x00" * 8  # two postings now point at sequence 0
+        victim.write_bytes(bytes(raw))
+        assert not (lib.index.count_hits_many(queries) == reference).all()
+        with use_metrics(MetricsRegistry()) as registry:
+            rebuilt = ensure_disk_index(lib, tmp_path)
+            values = registry.counter_values()
+        assert values["msa.index.corrupt"] == 1.0
+        assert values["msa.index.rebuild"] == 1.0
+        assert (rebuilt.count_hits_many(queries) == reference).all()
 
-        def make(seed):
-            r = np.random.default_rng(seed)
-            entries = [
-                LibraryEntry(
-                    entry_id=f"e{i}",
-                    encoded=random_sequence(60, r),
-                    family_id=None,
-                    divergence=0.0,
-                    annotated=False,
-                )
-                for i in range(3)
-            ]
-            return SequenceLibrary("qlib", entries, modeled_bytes=1000)
+    def test_old_schema_artifact_is_quarantined_and_rebuilt(self, rng, tmp_path):
+        # A schema-1 (code-range sharded) artifact in the library's slot
+        # must never be mis-read as the current layout.
+        lib = _library(rng, "olib")
+        slot = tmp_path / f"olib.{lib.fingerprint()[:12]}"
+        slot.mkdir()
+        arrays = {}
+        for name in ("counts", "shard000.codes", "shard000.offsets",
+                     "shard000.ids", "shard000.lut"):
+            arr = np.zeros(3, dtype=np.int64)
+            np.save(slot / f"{name}.npy", arr)
+            arrays[name] = {
+                "file": f"{name}.npy",
+                "dtype": arr.dtype.str,
+                "shape": list(arr.shape),
+                "sha256": "0" * 64,
+            }
+        (slot / "manifest.json").write_text(
+            json.dumps(
+                {
+                    "schema": "repro.msa.diskindex/1",
+                    "library": "olib",
+                    "fingerprint": lib.fingerprint(),
+                    "k": 5,
+                    "n_sequences": len(lib),
+                    "n_shards": 1,
+                    "boundaries": [0, 20**5],
+                    "total_postings": 0,
+                    "arrays": arrays,
+                }
+            )
+        )
+        with use_metrics(MetricsRegistry()) as registry:
+            disk = ensure_disk_index(lib, tmp_path)
+            assert registry.counter_values()["msa.index.corrupt"] == 1.0
+        assert (tmp_path / f"{slot.name}.corrupt0").is_dir()
+        assert not list(disk.path.glob("shard*"))
+        queries = [e.encoded for e in lib.entries]
+        assert (
+            disk.count_hits_many(queries) == lib.index.count_hits_many(queries)
+        ).all()
 
-        a, b = make(1), make(2)
+    def test_fingerprint_mismatch_quarantines(self, tmp_path):
+        a = _library(np.random.default_rng(1), "qlib", n=3, length=60)
+        b = _library(np.random.default_rng(2), "qlib", n=3, length=60)
         disk_a = ensure_disk_index(a, tmp_path)
         # Force b's artifact dir to collide with a's stale content.
         stale = tmp_path / f"qlib.{b.fingerprint()[:12]}"
@@ -292,47 +332,41 @@ class TestEnsureDiskIndex:
 
 class TestSuiteIntegration:
     def test_attach_suite_index(self, suite, tmp_path):
-        attached = attach_suite_index(suite, tmp_path)
-        assert len(attached) == len(suite.libraries)
-        for lib, disk in zip(suite.libraries, attached):
-            assert lib.index is disk
-            assert isinstance(lib.index, DiskKmerIndex)
-            assert disk.fingerprint == lib.fingerprint()
-        # Reset the suite's libraries back to lazy in-memory indexes so
-        # the session-scoped fixture is unchanged for other tests.
-        for lib in suite.libraries:
-            lib._index = None
+        try:
+            attached = attach_suite_index(suite, tmp_path)
+            assert len(attached) == len(suite.libraries)
+            for lib, disk in zip(suite.libraries, attached):
+                assert lib.index is disk
+                assert isinstance(lib.index._ids.base, np.memmap)
+                assert disk.fingerprint == lib.fingerprint()
+        finally:
+            # Reset the suite's libraries back to lazy in-memory indexes
+            # so the session-scoped fixture is unchanged for other tests.
+            for lib in suite.libraries:
+                lib._index = None
+
+    def test_search_suite_hits_match_memory_suite(self, proteome, suite, tmp_path):
+        records = list(proteome)[:6] + [
+            r for r in proteome if r.family_id is None
+        ][:1]
+        expected = [search_suite(r, suite).hits for r in records]
+        try:
+            attach_suite_index(suite, tmp_path)
+            got = [search_suite(r, suite).hits for r in records]
+        finally:
+            for lib in suite.libraries:
+                lib._index = None
+        assert any(hits for hits in expected)
+        # Hit is a frozen dataclass: == compares every field.
+        assert got == expected
 
     def test_fingerprint_does_not_build_index(self, rng):
-        from repro.msa.databases import LibraryEntry, SequenceLibrary
-
-        entries = [
-            LibraryEntry(
-                entry_id="e0",
-                encoded=random_sequence(50, rng),
-                family_id=None,
-                divergence=0.0,
-                annotated=False,
-            )
-        ]
-        lib = SequenceLibrary("fp", entries, modeled_bytes=10)
+        lib = _library(rng, "fp", n=1, length=50)
         lib.fingerprint()
         assert lib._index is None
 
     def test_attach_index_rejects_wrong_size(self, rng, tmp_path):
-        from repro.msa.databases import LibraryEntry, SequenceLibrary
-
-        entries = [
-            LibraryEntry(
-                entry_id=f"e{i}",
-                encoded=random_sequence(50, rng),
-                family_id=None,
-                divergence=0.0,
-                annotated=False,
-            )
-            for i in range(2)
-        ]
-        lib = SequenceLibrary("sz", entries, modeled_bytes=10)
+        lib = _library(rng, "sz", n=2, length=50)
         _, foreign = _build_disk(
             tmp_path, [random_sequence(50, rng) for _ in range(5)]
         )
@@ -340,22 +374,10 @@ class TestSuiteIntegration:
             lib.attach_index(foreign)
 
     def test_attach_index_rejects_wrong_fingerprint(self, rng, tmp_path):
-        from repro.msa.databases import LibraryEntry, SequenceLibrary
-
-        entries = [
-            LibraryEntry(
-                entry_id=f"e{i}",
-                encoded=random_sequence(50, rng),
-                family_id=None,
-                divergence=0.0,
-                annotated=False,
-            )
-            for i in range(2)
-        ]
-        lib = SequenceLibrary("fpz", entries, modeled_bytes=10)
+        lib = _library(rng, "fpz", n=2, length=50)
         _, foreign = _build_disk(
             tmp_path, [random_sequence(50, rng) for _ in range(2)]
         )
-        assert foreign.n_sequences == len(entries)
+        assert foreign.n_sequences == len(lib.entries)
         with pytest.raises(ValueError):
             lib.attach_index(foreign)  # fingerprint "fff..." != lib's

@@ -128,7 +128,6 @@ class TestKmerIndex:
         idx.freeze()
         assert idx.count_hits(query).shape == (0,)
         assert idx.count_hits_many([query]).shape == (1, 0)
-        assert idx.jaccard(query).shape == (0,)
         assert idx.containment(query).shape == (0,)
 
     def test_pickle_roundtrip(self, rng):
