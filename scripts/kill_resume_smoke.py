@@ -8,8 +8,9 @@ closest in-process stand-in for the paper's node failures.  Then:
 
 1. asserts the process died by SIGKILL (rc -9 / 137),
 2. validates what survived on disk: the ledger's schema header and
-   parseable ok-records, and the artifact store's marker plus payload
-   schema for every ledgered-ok key,
+   parseable ok-records, and for every ledgered-ok key a pack record of
+   the ledgered length and checksum that embeds that stage and key —
+   and no per-task ``*.pkl`` or temp ``*.tmp`` file anywhere,
 3. re-runs the identical campaign with ``--resume`` and asserts it
    completes (rc 0) while reporting skipped, already-ledgered work.
 
@@ -32,16 +33,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import pickle
 import subprocess
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 
-LEDGER_SCHEMA = "repro.runstate.ledger/1"
-STORE_SCHEMA = "repro.runstate.store/1"
+LEDGER_SCHEMA = "repro.runstate.ledger/2"
 
 CAMPAIGN = [
     sys.executable, "-m", "repro.cli", "campaign",
@@ -66,7 +66,7 @@ def check(condition: bool, message: str) -> None:
 
 
 def validate_state_dir(state_dir: Path) -> dict[str, int]:
-    """Parse the surviving ledger + artifacts; return ok counts by stage."""
+    """Parse the surviving ledger + pack; return ok counts by stage."""
     ledger = state_dir / "ledger.jsonl"
     check(ledger.exists(), "ledger.jsonl survived the kill")
     lines = ledger.read_text().splitlines()
@@ -76,7 +76,7 @@ def validate_state_dir(state_dir: Path) -> dict[str, int]:
         f"ledger header declares {LEDGER_SCHEMA}",
     )
     ok_counts: dict[str, int] = {}
-    ok_keys: list[tuple[str, str]] = []
+    ok_entries: list[dict] = []
     torn = 0
     for line in lines[1:]:
         try:
@@ -86,40 +86,52 @@ def validate_state_dir(state_dir: Path) -> dict[str, int]:
             continue
         if entry.get("ok"):
             ok_counts[entry["stage"]] = ok_counts.get(entry["stage"], 0) + 1
-            ok_keys.append((entry["stage"], entry["key"]))
+            ok_entries.append(entry)
     check(torn <= 1, "at most the final ledger line may be torn")
     check(sum(ok_counts.values()) > 0, f"ledgered-ok work survived: {ok_counts}")
 
-    marker = json.loads((state_dir / "artifacts" / "store.json").read_text())
-    check(
-        marker == {"schema": STORE_SCHEMA},
-        f"artifact store marker declares {STORE_SCHEMA}",
-    )
-    for stage, key in ok_keys:
-        name = hashlib.sha256(key.encode()).hexdigest()
-        path = state_dir / "artifacts" / stage / f"{name}.pkl"
-        check(path.exists(), f"artifact present for ledgered key {stage}/{key}")
-        payload = pickle.loads(path.read_bytes())
+    pack = (state_dir / "artifacts.pack").read_bytes()
+    for entry in ok_entries:
+        stage, key = entry["stage"], entry["key"]
+        record = pack_record(pack, entry)
         check(
-            payload["schema"] == STORE_SCHEMA
-            and payload["stage"] == stage
-            and payload["key"] == key,
-            f"artifact payload schema sound for {stage}/{key}",
+            len(record) == entry["length"]
+            and zlib.crc32(record) == entry["crc32"],
+            f"pack record length and checksum match for {stage}/{key}",
         )
+        header = json.loads(record.partition(b"\n")[0])
+        check(
+            header == {"stage": stage, "key": key},
+            f"pack record embeds its stage and key for {stage}/{key}",
+        )
+    strays = [
+        p.name for pattern in ("*.pkl", "*.tmp") for p in state_dir.rglob(pattern)
+    ]
+    check(strays == [], f"no per-task or temp files in the state dir {strays}")
     return ok_counts
 
 
-def ok_keys_of(state_dir: Path) -> list[tuple[str, str]]:
-    """Every parseable ledgered-ok ``(stage, key)`` entry, in order."""
-    keys: list[tuple[str, str]] = []
+def pack_record(pack: bytes, entry: dict) -> bytes:
+    """The bytes one ledger ok-record locates in the artifact pack."""
+    return pack[entry["offset"] : entry["offset"] + entry["length"]]
+
+
+def ok_entries_of(state_dir: Path) -> list[dict]:
+    """Every parseable ledgered-ok record, in order."""
+    entries: list[dict] = []
     for line in (state_dir / "ledger.jsonl").read_text().splitlines()[1:]:
         try:
             entry = json.loads(line)
         except json.JSONDecodeError:
             continue
         if entry.get("ok"):
-            keys.append((entry["stage"], entry["key"]))
-    return keys
+            entries.append(entry)
+    return entries
+
+
+def ok_keys_of(state_dir: Path) -> list[tuple[str, str]]:
+    """Every parseable ledgered-ok ``(stage, key)`` entry, in order."""
+    return [(entry["stage"], entry["key"]) for entry in ok_entries_of(state_dir)]
 
 
 def _canonical(value):
@@ -147,11 +159,11 @@ def _canonical(value):
 
 def artifact_value_bytes(state_dir: Path, stage: str, key: str) -> bytes:
     """A canonical byte fingerprint of one stored artifact's value."""
-    name = hashlib.sha256(key.encode()).hexdigest()
-    payload = pickle.loads(
-        (state_dir / "artifacts" / stage / f"{name}.pkl").read_bytes()
-    )
-    return pickle.dumps(_canonical(payload["value"]))
+    entry = [
+        e for e in ok_entries_of(state_dir) if (e["stage"], e["key"]) == (stage, key)
+    ][-1]
+    record = pack_record((state_dir / "artifacts.pack").read_bytes(), entry)
+    return pickle.dumps(_canonical(pickle.loads(record.partition(b"\n")[2])))
 
 
 def kill_resume_scenario(

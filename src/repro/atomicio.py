@@ -1,8 +1,9 @@
-"""Atomic file publication shared by the durable stores.
+"""Atomic file publication for the on-disk feature cache.
 
-Both the feature cache and the run-state artifact store publish pickled
-payloads that concurrent readers may open at any moment, and that a
-crash (the whole point of durable state) may interrupt at any byte.
+The feature cache publishes pickled payloads, one file per key, that
+concurrent readers may open at any moment and that a crash may
+interrupt at any byte.  (Run state appends to one pack instead and
+needs no rename; see :mod:`repro.runstate.store`.)
 The discipline that makes this safe is always the same:
 
 1. write the full payload to a *writer-unique* temp file in the target

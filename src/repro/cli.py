@@ -8,7 +8,7 @@ Five subcommands mirror how the paper's pipeline was actually driven:
   node-hour accounting and the proteome confidence summary; with
   ``--telemetry-dir`` it also exports the run's trace/metrics/manifest,
   and with ``--state-dir`` it keeps a durable completion ledger +
-  artifact store so a killed campaign resumes (``--resume``) with zero
+  artifact pack so a killed campaign resumes (``--resume``) with zero
   recomputation of finished tasks.
 * ``repro relax``     — relax an existing (CA-trace) PDB file.
 * ``repro table1``    — a scaled-down regeneration of Table 1.
@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="export manifest.json/trace.json/metrics.json here")
     c.add_argument("--state-dir", type=Path, default=None,
                    help="durable run state (write-ahead completion ledger + "
-                        "artifact store); lets a killed campaign resume")
+                        "artifact pack); lets a killed campaign resume")
     c.add_argument("--resume", action="store_true",
                    help="resume the campaign in --state-dir, skipping every "
                         "task already ledgered as complete")
@@ -228,7 +228,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.state_dir is not None:
         from .runstate import RunState
 
-        state = RunState(args.state_dir)
+        try:
+            state = RunState(args.state_dir)
+        except ValueError as exc:  # another schema, or a corrupt ledger
+            print(f"repro campaign: {exc}", file=sys.stderr)
+            return 2
         if state.resumed and not args.resume:
             print(
                 f"repro campaign: {args.state_dir} already holds a campaign "

@@ -28,7 +28,7 @@ once and shared by every process on the node:
   fingerprint-addressed artifact if it exists and verifies, quarantine
   and rebuild it if it is corrupt, checksum-mismatched or of another
   schema (``msa.index.corrupt``, mirroring
-  :class:`~repro.runstate.store.ArtifactStore`), build it fresh
+  :class:`~repro.cache.FeatureCache`'s quarantine), build it fresh
   otherwise.
 
 Query results are bit-identical to the in-memory index because both

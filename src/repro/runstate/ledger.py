@@ -5,12 +5,18 @@ batch jobs and *skipping already-produced outputs* (§3.3).  The ledger
 is the generalisation of that filesystem convention: an append-only
 JSONL file with one record per task attempt —
 
-``{"stage": ..., "key": ..., "attempt": n, "ok": true, "error": ""}``
+``{"stage": ..., "key": ..., "attempt": n, "ok": true, "offset": o,
+"length": n, "crc32": c}``
 
-— fsync'd on every append, so the set of completed task keys survives
-a SIGKILL at any instruction.  A stage consults :meth:`completed`
-before submitting work; anything already ledgered ``ok`` is skipped and
-restored from the artifact store instead of recomputed.
+— where the last three locate the attempt's artifact in the state dir's
+pack (:mod:`repro.runstate.store`).  Fields that are empty are left
+out: a failed attempt has no artifact but an ``"error"``.  Each append
+is written and flushed before :meth:`record` returns, which is what
+makes it survive a SIGKILL at any later instruction: the bytes are in
+the kernel.  The fsync that follows is for a power loss or an OS crash.
+A stage consults :meth:`completed` before submitting work; anything
+already ledgered ``ok`` is skipped and restored from the pack instead
+of recomputed.
 
 Crash tolerance of the ledger *itself*: a kill mid-append leaves a
 truncated final line.  Replay parses the valid prefix, drops the torn
@@ -27,12 +33,12 @@ from __future__ import annotations
 import json
 import os
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 __all__ = ["LEDGER_SCHEMA", "LedgerEntry", "CompletionLedger"]
 
-LEDGER_SCHEMA = "repro.runstate.ledger/1"
+LEDGER_SCHEMA = "repro.runstate.ledger/2"
 
 
 @dataclass(frozen=True)
@@ -44,15 +50,18 @@ class LedgerEntry:
     attempt: int = 1
     ok: bool = True
     error: str = ""
+    offset: int | None = None
+    length: int | None = None
+    crc32: int | None = None
 
 
 class CompletionLedger:
     """Append-only, fsync'd, replayable JSONL task-completion log.
 
-    ``fsync=False`` trades the write-ahead durability guarantee for
-    speed; tests and purely exploratory runs may want it, campaigns do
-    not.  All methods are thread-safe — executor worker threads append
-    concurrently.
+    ``fsync=False`` gives up surviving a power loss (a SIGKILL is
+    survived either way) for speed; tests and purely exploratory runs
+    may want it, campaigns do not.  All methods are thread-safe —
+    executor worker threads append concurrently.
     """
 
     def __init__(self, path: str | Path, fsync: bool = True) -> None:
@@ -61,7 +70,7 @@ class CompletionLedger:
         self._fsync = fsync
         self._lock = threading.Lock()
         self._entries: list[LedgerEntry] = []
-        self._completed: dict[str, set[str]] = {}
+        self._completed: dict[str, dict[str, LedgerEntry]] = {}
         if self.path.exists() and self.path.stat().st_size > 0:
             valid_end = self._replay()
             if valid_end < self.path.stat().st_size:
@@ -101,24 +110,35 @@ class CompletionLedger:
             if index == 0:
                 if payload.get("schema") != LEDGER_SCHEMA:
                     raise ValueError(
-                        f"{self.path} is not a {LEDGER_SCHEMA} ledger "
-                        f"(header {payload!r})"
+                        f"{self.path} is not a {LEDGER_SCHEMA} ledger: its "
+                        f"header declares schema {payload.get('schema')!r}; "
+                        "resume it with the build that wrote it, or start "
+                        "a fresh state dir"
                     )
             else:
-                entry = LedgerEntry(
-                    stage=str(payload["stage"]),
-                    key=str(payload["key"]),
-                    attempt=int(payload["attempt"]),
-                    ok=bool(payload["ok"]),
-                    error=str(payload.get("error", "")),
+                self._add(
+                    LedgerEntry(
+                        stage=str(payload["stage"]),
+                        key=str(payload["key"]),
+                        attempt=int(payload["attempt"]),
+                        ok=bool(payload["ok"]),
+                        error=str(payload.get("error", "")),
+                        **{
+                            name: int(payload[name])
+                            for name in ("offset", "length", "crc32")
+                            if name in payload
+                        },
+                    )
                 )
-                self._entries.append(entry)
-                if entry.ok:
-                    self._completed.setdefault(entry.stage, set()).add(entry.key)
             index += 1
             pos = nl + 1
             valid_end = pos
         return valid_end
+
+    def _add(self, entry: LedgerEntry) -> None:
+        self._entries.append(entry)
+        if entry.ok:
+            self._completed.setdefault(entry.stage, {})[entry.key] = entry
 
     # -- Append --------------------------------------------------------------
     def _append(self, payload: dict) -> None:
@@ -138,16 +158,30 @@ class CompletionLedger:
         attempt: int = 1,
         ok: bool = True,
         error: str = "",
+        offset: int | None = None,
+        length: int | None = None,
+        crc32: int | None = None,
     ) -> LedgerEntry:
-        """Durably append one attempt record (write-ahead: fsync'd)."""
+        """Durably append one attempt record (write-ahead: fsync'd).
+
+        ``offset``/``length``/``crc32`` locate the attempt's artifact in
+        the pack; a record without them has no artifact.
+        """
         entry = LedgerEntry(
-            stage=stage, key=key, attempt=int(attempt), ok=bool(ok), error=error
+            stage=stage,
+            key=key,
+            attempt=int(attempt),
+            ok=bool(ok),
+            error=error,
+            offset=offset,
+            length=length,
+            crc32=crc32,
         )
         with self._lock:
-            self._append(asdict(entry))
-            self._entries.append(entry)
-            if entry.ok:
-                self._completed.setdefault(entry.stage, set()).add(entry.key)
+            self._append(
+                {k: v for k, v in vars(entry).items() if v is not None and v != ""}
+            )
+            self._add(entry)
         return entry
 
     # -- Queries -------------------------------------------------------------
@@ -165,6 +199,11 @@ class CompletionLedger:
         """Task keys with at least one ``ok`` attempt in ``stage``."""
         with self._lock:
             return set(self._completed.get(stage, ()))
+
+    def latest_ok(self, stage: str) -> dict[str, LedgerEntry]:
+        """Each completed key's most recent ``ok`` record in ``stage``."""
+        with self._lock:
+            return dict(self._completed.get(stage, {}))
 
     def is_complete(self, stage: str, key: str) -> bool:
         with self._lock:

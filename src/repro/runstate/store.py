@@ -1,122 +1,97 @@
-"""Content-addressed artifact store for stage outputs.
+"""Append-only artifact pack for stage outputs.
 
-The ledger says *that* a task finished; the store holds *what* it
+The ledger says *that* a task finished; the pack holds *what* it
 produced — the feature bundle, prediction, or relax outcome a resumed
-campaign restores instead of recomputing.  Artifacts are pickled under
-``<dir>/<stage>/<sha256(key)>.pkl`` (task keys contain ``/``, so the
-filename is the hash and the key travels inside the payload), published
-with the same unique-temp + atomic-rename discipline as
-:class:`~repro.cache.FeatureCache`, so a SIGKILL mid-``put`` leaves
-either the previous complete artifact or none at all.
+campaign restores instead of recomputing.  ``artifacts.pack`` is one
+append-only file per state dir.  Each record is a one-line JSON header
+naming its ``(stage, key)`` followed by the pickled value; the ledger
+line that commits the task carries the record's ``offset``, ``length``
+and ``crc32``, so the pack needs no index of its own, no file per task
+and no rename.
 
-Write-ahead ordering is the caller's contract (and what
-:meth:`repro.runstate.state.RunState.on_complete` implements): the
-artifact is stored *before* the completion is ledgered, so every
-ledgered-ok key has a durable artifact.  The store still self-repairs
-if that invariant is ever violated: unreadable or mismatched entries
-are unlinked on lookup, counted on ``runstate.store.corrupt``, and the
-key falls back to recomputation.
+An append is one buffered write and a flush, with no fsync: flushed
+bytes are in the kernel and survive a SIGKILL of the process.  A power
+loss can drop them while the fsync'd ledger line that points at them
+survives, which is why :meth:`ArtifactPack.read` checks length, checksum
+and the embedded ``(stage, key)`` before it unpickles.  A mismatch is
+counted on ``runstate.store.corrupt`` and the key falls back to
+recomputation.
+
+Opening a pack sets its size to ``end``, the end of the last ledgered
+record — the rule the ledger applies to its own torn tail.  Bytes an
+uncommitted append left behind are dropped, and a pack that lost its
+tail is zero-padded, so a new record never reuses a ledgered range.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
+import os
 import pickle
+import zlib
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
-from ..atomicio import atomic_write_bytes
 from ..telemetry.metrics import get_metrics
+from .ledger import LedgerEntry
 
-__all__ = ["STORE_SCHEMA", "ArtifactStore"]
-
-STORE_SCHEMA = "repro.runstate.store/1"
+__all__ = ["ArtifactPack", "encode_record"]
 
 
-class ArtifactStore:
-    """Durable ``(stage, key) -> object`` map with atomic publication."""
+def _header(stage: str, key: str) -> bytes:
+    # JSON escapes newlines inside strings, so the header is one line.
+    return (
+        json.dumps(
+            {"stage": stage, "key": key}, separators=(",", ":"), sort_keys=True
+        ).encode()
+        + b"\n"
+    )
 
-    def __init__(self, directory: str | Path) -> None:
-        self._dir = Path(directory)
-        self._dir.mkdir(parents=True, exist_ok=True)
-        marker = self._dir / "store.json"
-        if marker.exists():
-            meta = json.loads(marker.read_text(encoding="utf-8"))
-            if meta.get("schema") != STORE_SCHEMA:
-                raise ValueError(
-                    f"{self._dir} is not a {STORE_SCHEMA} artifact store "
-                    f"(marker {meta!r})"
-                )
-        else:
-            atomic_write_bytes(
-                marker,
-                json.dumps({"schema": STORE_SCHEMA}, indent=2).encode(),
-            )
 
-    @property
-    def directory(self) -> Path:
-        return self._dir
+def encode_record(stage: str, key: str, value: Any) -> bytes:
+    """One pack record: the ``(stage, key)`` header line, then the pickle."""
+    return _header(stage, key) + pickle.dumps(value)
 
-    def path_for(self, stage: str, key: str) -> Path:
-        digest = hashlib.sha256(key.encode()).hexdigest()
-        return self._dir / stage / f"{digest}.pkl"
 
-    # -- Store / lookup ------------------------------------------------------
-    def put(self, stage: str, key: str, value: Any) -> Path:
-        """Durably store one artifact; concurrent writers never tear it."""
-        path = self.path_for(stage, key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "schema": STORE_SCHEMA,
-            "stage": stage,
-            "key": key,
-            "value": value,
-        }
-        atomic_write_bytes(path, pickle.dumps(payload))
-        return path
+class ArtifactPack:
+    """One append-only file of encoded records, read back by offset.
 
-    def get(self, stage: str, key: str) -> Any | None:
-        """The stored artifact, or ``None`` (corrupt slots self-repair)."""
-        path = self.path_for(stage, key)
-        try:
-            raw = path.read_bytes()
-        except OSError:
+    Appends are not locked here: the caller serialises them together
+    with the ledger line that commits each one
+    (:meth:`repro.runstate.state.RunState.on_complete`).
+    """
+
+    def __init__(self, path: str | Path, end: int) -> None:
+        self.path = Path(path)
+        self._fh = open(self.path, "a+b")
+        self._fh.truncate(end)
+        self._end = end
+
+    def append(self, record: bytes) -> int:
+        """Write one encoded record after the last; returns its offset."""
+        offset = self._end
+        self._fh.write(record)
+        self._fh.flush()
+        self._end += len(record)
+        return offset
+
+    def read(self, entry: LedgerEntry) -> Any | None:
+        """The value ``entry`` committed, or ``None`` if it is not intact."""
+        if entry.offset is None:
             return None
-        try:
-            payload = pickle.loads(raw)
-            if (
-                not isinstance(payload, dict)
-                or payload.get("schema") != STORE_SCHEMA
-                or payload.get("key") != key
-            ):
-                raise ValueError("artifact payload mismatch")
-        except Exception:  # unpickling garbage raises arbitrary types
-            path.unlink(missing_ok=True)
-            get_metrics().counter("runstate.store.corrupt").inc()
-            return None
-        return payload["value"]
-
-    def has(self, stage: str, key: str) -> bool:
-        return self.path_for(stage, key).exists()
-
-    # -- Introspection -------------------------------------------------------
-    def entries(self, stage: str) -> Iterator[tuple[str, Any]]:
-        """Iterate ``(key, value)`` over one stage's readable artifacts."""
-        stage_dir = self._dir / stage
-        if not stage_dir.is_dir():
-            return
-        for path in sorted(stage_dir.glob("*.pkl")):
+        header = _header(entry.stage, entry.key)
+        record = os.pread(self._fh.fileno(), entry.length, entry.offset)
+        if (
+            len(record) == entry.length
+            and zlib.crc32(record) == entry.crc32
+            and record.startswith(header)
+        ):
             try:
-                payload = pickle.loads(path.read_bytes())
-                if (
-                    isinstance(payload, dict)
-                    and payload.get("schema") == STORE_SCHEMA
-                ):
-                    yield payload["key"], payload["value"]
-            except Exception:
-                continue
+                return pickle.loads(memoryview(record)[len(header) :])
+            except Exception:  # a class renamed since the record was written
+                pass
+        get_metrics().counter("runstate.store.corrupt").inc()
+        return None
 
-    def n_entries(self, stage: str) -> int:
-        stage_dir = self._dir / stage
-        return len(list(stage_dir.glob("*.pkl"))) if stage_dir.is_dir() else 0
+    def close(self) -> None:
+        self._fh.close()

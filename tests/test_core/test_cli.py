@@ -101,6 +101,17 @@ def test_campaign_state_dir_then_resume(tmp_path, capsys):
     assert "resume   : skipped" in out
     assert "node-h" in out
 
+    # A state dir of another ledger schema is refused and left untouched.
+    other = tmp_path / "other"
+    other.mkdir()
+    ledger = other / "ledger.jsonl"
+    ledger.write_text('{"schema": "repro.runstate.ledger/1"}\n')
+    rc = main(CAMPAIGN_ARGS + ["--state-dir", str(other), "--resume"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "repro.runstate.ledger/1" in err and "repro.runstate.ledger/2" in err
+    assert ledger.read_text() == '{"schema": "repro.runstate.ledger/1"}\n'
+
 
 def test_campaign_resume_requires_state_dir(capsys):
     rc = main(CAMPAIGN_ARGS + ["--resume"])

@@ -169,8 +169,7 @@ class TestCrash:
             total = N_MODELS * len(prot)
             assert 0 < len(done) < total
             # Every ledgered-ok key has its artifact (write-ahead order).
-            for key in done:
-                assert state.store.has("inference", key)
+            assert set(state.restore("inference", done)) == done
             assert state.ledger.completed("relax") == set()
         finally:
             state.close()
