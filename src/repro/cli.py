@@ -72,8 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--executor", default="threaded",
                    choices=["threaded", "process"],
                    help="backend for the real per-record compute: worker "
-                        "threads (default) or worker processes with "
-                        "shared-memory array transport (survives a killed "
+                        "threads (default) or worker processes fed over "
+                        "pipes (survives a killed "
                         "worker by requeuing its task).  Use 'process' for "
                         "multi-core runs: the compute is GIL-bound, so "
                         "threads beyond the first lose throughput where "

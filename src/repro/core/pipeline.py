@@ -176,9 +176,8 @@ class ProteomePipeline:
     compute_workers: int = 0
     #: Executor backend for the real per-record work: ``"threaded"``
     #: (default; workers are threads in this process) or ``"process"``
-    #: (workers are OS processes pulling tasks over pipes with
-    #: shared-memory array transport; survives a worker being killed
-    #: outright).  Use ``"process"`` for multi-core runs: the science is
+    #: (workers are OS processes pulling tasks over pipes, one pickle
+    #: each way; survives a worker being killed outright).  Use ``"process"`` for multi-core runs: the science is
     #: GIL-bound, so extra *threads* cost throughput rather than buy it.
     #: Measured on one 2-core box, 40 mixed-length targets, barrier
     #: schedule: threaded 1 worker 7-9 targets/s, threaded 2 workers

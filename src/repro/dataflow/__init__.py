@@ -3,7 +3,7 @@
 from .bubbles import bubble_seconds
 from .core import ExecutionResult, SchedulerCore
 from .engine import ThreadedExecutor, pooled_workers
-from .process import ProcessExecutor
+from .process import EncodedPayload, ProcessExecutor, decode_payload, encode_payload
 from .faults import (
     FaultInjector,
     RetryPolicy,
@@ -21,7 +21,6 @@ from .reporting import (
     write_task_csv,
 )
 from .scheduler import TaskQueue, TaskRecord, TaskSpec, WorkerInfo, make_workers
-from .shm import EncodedPayload, ShmRef, decode_payload, encode_payload
 from .simulated import SimulationResult, simulate_dataflow
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "pooled_workers",
     "bubble_seconds",
     "EncodedPayload",
-    "ShmRef",
     "encode_payload",
     "decode_payload",
     "FaultInjector",

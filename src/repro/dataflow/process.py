@@ -8,19 +8,19 @@ separate OS process pulling :class:`TaskSpec` messages over a duplex
 pipe, so numpy kernels that hold the GIL (and everything else) scale
 across cores and memory buses.
 
-Transport: large arrays inside payloads and results move through
-``multiprocessing.shared_memory`` segments (see
-:mod:`repro.dataflow.shm`) instead of being pickled through the pipe;
-only a small skeleton message crosses the connection.
+Transport: one pickle each way through the pipe — the task (payload
+included) out, the result back — as the paper's Dask workers move
+features and predictions (§3.3).  :func:`encode_payload` /
+:func:`decode_payload` wrap both send points and pass the value through
+untouched, so a run leaves nothing behind outside its own processes.
 
 This driver adds the failure class only process isolation can survive:
 a worker that *dies* (kill -9, hard crash, exitcode != 0) is detected
-by the parent through pipe EOF, its in-flight task is requeued through
-the retry policy, and its orphaned payload segment is reclaimed.  The
-core runs in the parent, so all bookkeeping callbacks (``on_complete``
-— the durable ledger — and the telemetry spans/metrics derived from
-records) do too, and ``--state-dir``/``--resume`` and the task observer
-work unchanged.
+by the parent through pipe EOF and its in-flight task is requeued
+through the retry policy.  The core runs in the parent, so all
+bookkeeping callbacks (``on_complete`` — the durable ledger — and the
+telemetry spans/metrics derived from records) do too, and
+``--state-dir``/``--resume`` and the task observer work unchanged.
 
 Workers run ``initializer(*initargs)`` once at startup before their
 first task — the hook stage code uses to rehydrate a shared context
@@ -31,7 +31,7 @@ per process instead of once per task.
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from multiprocessing.connection import Connection, wait as connection_wait
 from typing import Any, Callable
 
@@ -40,9 +40,14 @@ from ..telemetry.tracer import set_tracer
 from .core import ExecutionResult, SchedulerCore
 from .engine import Executor
 from .scheduler import TaskSpec, WorkerInfo
-from .shm import decode_payload, encode_payload, unlink_segment
 
-__all__ = ["ProcessExecutor", "run_processes"]
+__all__ = [
+    "EncodedPayload",
+    "ProcessExecutor",
+    "decode_payload",
+    "encode_payload",
+    "run_processes",
+]
 
 #: Safety-net poll interval: worker death is event-driven (pipe EOF),
 #: so this only bounds how stale the parent's view can get if an OS
@@ -55,6 +60,29 @@ _LIVENESS_POLL_SECONDS = 1.0
 DEFAULT_START_METHOD = (
     "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 )
+
+
+@dataclass(frozen=True)
+class EncodedPayload:
+    """One message body as it crosses the pipe.
+
+    ``skeleton`` is the value itself; ``segment`` is always ``None`` and
+    ``nbytes`` always 0 — nothing travels beside the pipe.
+    """
+
+    skeleton: Any
+    segment: None = None
+    nbytes: int = 0
+
+
+def encode_payload(obj: Any) -> EncodedPayload:
+    """Wrap ``obj`` for the pipe; the pickle of the send does the work."""
+    return EncodedPayload(skeleton=obj)
+
+
+def decode_payload(payload: EncodedPayload) -> Any:
+    """The value :func:`encode_payload` wrapped."""
+    return payload.skeleton
 
 
 def _worker_main(
@@ -108,8 +136,7 @@ def _worker_main(
 class _WorkerSlot:
     """Parent-side view of one worker process."""
 
-    __slots__ = ("info", "process", "conn", "current", "dispatched_at",
-                 "payload_segment")
+    __slots__ = ("info", "process", "conn", "current", "dispatched_at")
 
     def __init__(self, info: WorkerInfo, process, conn: Connection) -> None:
         self.info = info
@@ -117,7 +144,6 @@ class _WorkerSlot:
         self.conn = conn
         self.current: TaskSpec | None = None
         self.dispatched_at = 0.0
-        self.payload_segment: str | None = None
 
     @property
     def alive(self) -> bool:
@@ -134,9 +160,9 @@ def run_processes(
 ) -> ExecutionResult:
     """Drive ``core`` with one OS process per worker; return the run.
 
-    This driver owns the worker processes and their pipes, the
-    shared-memory payload transport, worker-loss detection and process
-    shutdown.  ``func``/``initializer``/``initargs`` must be picklable
+    This driver owns the worker processes and their pipes (one pickle
+    each way per task), worker-loss detection and process shutdown.
+    ``func``/``initializer``/``initargs`` must be picklable
     module-level callables — closures that work on the threaded driver
     will not cross a process boundary.
     """
@@ -145,15 +171,6 @@ def run_processes(
     lost_workers = metrics.counter(f"{stage}.worker.lost")
 
     ctx = multiprocessing.get_context(start_method)
-    if start_method == "fork":
-        # Start the resource tracker *before* forking: children then
-        # inherit the one tracker process, so a segment registered
-        # by its creator and unregistered by its consumer (always a
-        # different process here) balances in a single cache instead
-        # of warning at shutdown from two.
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
     slots: list[_WorkerSlot] = []
     for info in core.workers:
         parent_conn, child_conn = ctx.Pipe(duplex=True)
@@ -170,7 +187,7 @@ def run_processes(
     now = core.start_clock()
 
     def handle_worker_loss(slot: _WorkerSlot) -> None:
-        """A worker died: reclaim its segment, requeue its task."""
+        """A worker died: requeue its task."""
         slot.process.join(timeout=0.5)
         exitcode = slot.process.exitcode
         try:
@@ -180,8 +197,6 @@ def run_processes(
         del by_conn[slot.conn]
         task = slot.current
         slot.current = None
-        unlink_segment(slot.payload_segment)
-        slot.payload_segment = None
         slot.process = None  # marks the slot dead
         core.worker_lost(slot.info)
         if task is None:
@@ -233,7 +248,6 @@ def run_processes(
                         continue
                     encoded = encode_payload(exec_task.payload)
                     slot.current = task
-                    slot.payload_segment = encoded.segment
                     slot.dispatched_at = now()
                     try:
                         slot.conn.send(
@@ -265,7 +279,6 @@ def run_processes(
                 _, key, ok, error, encoded_value, delta = message
                 task = slot.current
                 slot.current = None
-                slot.payload_segment = None
                 if task is None or task.key != key:  # pragma: no cover
                     continue
                 value = decode_payload(encoded_value) if ok else None

@@ -22,8 +22,8 @@ once and shared by every process on the node:
   :class:`~repro.msa.kmer.KmerIndex` over them.  N worker processes then
   share one page-cache copy of the postings — attach cost is a handful
   of ``open``/``mmap`` calls, not a rebuild — and pickling the index
-  ships only the artifact *path*, so the process executor's pipe and
-  shared-memory transport stay array-free.
+  ships only the artifact *path*, so the process executor's pipe
+  payloads stay array-free.
 * :func:`ensure_disk_index` is the campaign entry point: open the
   fingerprint-addressed artifact if it exists and verifies, quarantine
   and rebuild it if it is corrupt, checksum-mismatched or of another

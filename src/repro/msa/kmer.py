@@ -192,7 +192,7 @@ class KmerIndex:
     # -- pickling ------------------------------------------------------------
     # A memory-mapped index pickles as its artifact path: the receiver
     # maps the same files (one more page-cache sharer), so no postings
-    # cross a pipe or /dev/shm.  An in-memory index ships its frozen CSR
+    # cross the pipe.  An in-memory index ships its frozen CSR
     # arrays, once per worker process: the dense LUT (20**5 x 4 B =
     # 12.8 MB at k=5) is derived state rebuilt on arrival, and pending
     # sequences are folded in by freezing before export.

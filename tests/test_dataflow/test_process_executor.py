@@ -2,23 +2,30 @@
 
 Covers the contract shared with :class:`ThreadedExecutor` (results,
 retries, highmem gating, unschedulable drain, callbacks) plus what only
-a process pool can express: shared-memory payload transport, worker
-kill -9 detection with requeue, parent-side callback/metric/span
-execution, and the all-workers-dead drain.
+a process pool can express: payloads and results that cross the pipe
+bit-equal, worker kill -9 detection with requeue (and no ``/dev/shm``
+residue either way), parent-side callback/metric/span execution, and
+the all-workers-dead drain.
 """
 
+import dataclasses
+import glob
 import os
 import signal
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
 from repro.dataflow import (
+    EncodedPayload,
     FaultInjector,
     ProcessExecutor,
     RetryPolicy,
     TaskSpec,
     ThreadedExecutor,
+    decode_payload,
+    encode_payload,
 )
 from repro.telemetry.metrics import MetricsRegistry, get_metrics, use_metrics
 from repro.telemetry.tracer import Tracer, use_tracer
@@ -31,10 +38,6 @@ def _double(payload):
 
 def _echo(payload):
     return payload
-
-
-def _double_array(payload):
-    return {"out": payload["x"] * 2.0}
 
 
 def _boom(payload):
@@ -73,6 +76,79 @@ def _read_init(payload):
     return (_INIT_VALUE.get("v"), os.getpid())
 
 
+def _shm_entries():
+    return set(glob.glob("/dev/shm/psm_*"))
+
+
+Point = namedtuple("Point", ["xyz", "label"])
+
+
+@dataclasses.dataclass
+class Inner:
+    arr: np.ndarray
+    tag: str
+
+
+@dataclasses.dataclass(frozen=True)
+class Outer:
+    inner: Inner
+    weights: np.ndarray
+    scale: float
+
+
+def _payload_shapes():
+    """The object trees a task payload or result may take."""
+    rng = np.random.default_rng(3)
+    big = rng.normal(size=(64, 64))
+    ones = np.ones(1024)
+    readonly = np.arange(4096, dtype=np.float64)
+    readonly.setflags(write=False)
+    return {
+        "large_array": {"x": rng.normal(size=(128, 64))},
+        "nested": {
+            "list": [big, {"deep": big * 2}],
+            "tuple": (big + 1,),
+            "scalar": 42,
+        },
+        "namedtuple": Point(xyz=big - 1, label="p"),
+        "frozen_dataclass": Outer(
+            inner=Inner(arr=np.full((100, 100), 3.5), tag="t"),
+            weights=np.full((100, 100), 7.0),
+            scale=0.5,
+        ),
+        "noncontiguous_view": {
+            "v": np.arange(10000, dtype=np.float64).reshape(100, 100)[::2, ::2]
+        },
+        "empty_arrays": {"empty": np.empty(0), "none": np.zeros((0, 3), np.int32)},
+        "object_dtype": np.array([{"a": 1}] * 1000, dtype=object),
+        "equal_arrays": [ones, ones.copy()],
+        "readonly_array": {"x": readonly},
+    }
+
+
+def _assert_bit_equal(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        if want.dtype.hasobject:
+            assert got.tolist() == want.tolist()
+        else:
+            assert got.tobytes() == want.tobytes()
+    elif isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            _assert_bit_equal(got[key], want[key])
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_bit_equal(g, w)
+    elif dataclasses.is_dataclass(want):
+        for field in dataclasses.fields(want):
+            _assert_bit_equal(getattr(got, field.name), getattr(want, field.name))
+    else:
+        assert got == want
+
+
 def _tasks(n, prefix="t", **kwargs):
     return [
         TaskSpec(key=f"{prefix}{i}", size_hint=float(i % 7 + 1), **kwargs)
@@ -108,16 +184,32 @@ class TestBasics:
         assert len(pids) > 1
         assert os.getpid() not in pids
 
-    def test_large_arrays_roundtrip_through_shm(self):
-        rng = np.random.default_rng(3)
-        items = [
-            (f"k{i}", {"x": rng.normal(size=(128, 64))}, float(i))
-            for i in range(8)
-        ]
-        res = ProcessExecutor(n_workers=2).map(_double_array, items)
+    @pytest.mark.parametrize("shape", sorted(_payload_shapes()))
+    def test_large_arrays_roundtrip_through_the_pipe(self, shape):
+        # Out as the payload, back as the result: what arrives in the
+        # parent is bit-equal to what left it, and nothing is left in
+        # /dev/shm.
+        payload = _payload_shapes()[shape]
+        before = _shm_entries()
+        items = [(f"k{i}", payload, 1.0) for i in range(4)]
+        res = ProcessExecutor(n_workers=2).map(_echo, items)
         assert res.n_failed == 0
-        for key, payload, _ in items:
-            assert np.array_equal(res.results[key]["out"], payload["x"] * 2.0)
+        for key, _, _ in items:
+            _assert_bit_equal(res.results[key], payload)
+        if shape == "equal_arrays":
+            first, second = res.results["k0"]
+            assert first is not second
+        assert _shm_entries() == before
+
+    def test_codec_passes_values_through(self):
+        # The driver's codec wraps what the pipe pickles; nothing rides
+        # beside it.
+        value = {"x": np.arange(4096.0)}
+        encoded = encode_payload(value)
+        assert isinstance(encoded, EncodedPayload)
+        assert encoded.skeleton is value
+        assert encoded.segment is None and encoded.nbytes == 0
+        assert decode_payload(encoded) is value
 
     def test_task_exception_is_isolated(self):
         res = ProcessExecutor(n_workers=2).map(
@@ -198,6 +290,7 @@ class TestFaultTolerance:
 class TestWorkerLoss:
     def test_killed_worker_task_is_requeued(self):
         specs = [TaskSpec(key="victim", size_hint=10.0)] + _tasks(6)
+        before = _shm_entries()
         res = ProcessExecutor(n_workers=2).map(
             _suicide_on_first_attempt,
             specs,
@@ -213,6 +306,7 @@ class TestWorkerLoss:
         assert not victim[0].ok and "WorkerLost" in victim[0].error
         assert victim[1].ok
         assert res.results["victim"] == "victim@2"
+        assert _shm_entries() == before
 
     def test_worker_loss_counts_on_metrics(self):
         with use_metrics(MetricsRegistry()) as registry:

@@ -100,7 +100,8 @@ class TestCrashTolerance:
         with CompletionLedger(path) as led:
             assert led.n_replayed == 0
             led.record("feature", "a")
-        assert CompletionLedger(path).completed("feature") == {"a"}
+        with CompletionLedger(path) as led:
+            assert led.completed("feature") == {"a"}
 
 
 class TestConcurrency:
