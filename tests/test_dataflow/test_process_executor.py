@@ -13,6 +13,7 @@ import glob
 import os
 import signal
 from collections import namedtuple
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
@@ -58,6 +59,12 @@ def _suicide_on_first_attempt(spec):
 
 def _always_suicide(spec):
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _suicide_then_echo(spec):
+    if spec.attempt == 1 and spec.key.startswith("victim"):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return spec.payload
 
 
 def _count_and_echo(payload):
@@ -211,6 +218,20 @@ class TestBasics:
         assert encoded.segment is None and encoded.nbytes == 0
         assert decode_payload(encoded) is value
 
+    def test_plain_payload_wraps_verbatim(self):
+        enc = encode_payload([1, 2, 3])
+        assert isinstance(enc, EncodedPayload)
+        assert enc.segment is None and enc.nbytes == 0
+        assert enc.skeleton == [1, 2, 3]
+
+    @pytest.mark.parametrize("shape", sorted(_payload_shapes()))
+    def test_encoded_payload_survives_pipe_pickle(self, shape):
+        # Connection.send pickles with ForkingPickler; the encoded
+        # message must come back out of those bytes bit-equal.
+        payload = _payload_shapes()[shape]
+        blob = ForkingPickler.dumps(encode_payload(payload))
+        _assert_bit_equal(decode_payload(ForkingPickler.loads(blob)), payload)
+
     def test_task_exception_is_isolated(self):
         res = ProcessExecutor(n_workers=2).map(
             _boom, [("a", 1, 1.0)]
@@ -228,6 +249,38 @@ class TestBasics:
         )
         values = {v for (v, _pid) in res.results.values()}
         assert values == {"sentinel-42"}
+
+
+class TestFileBackedArrays:
+    """Memory-mapped arrays cross the pipe by value, like any array."""
+
+    @staticmethod
+    def _memmap(tmp_path, shape=(256, 64)):
+        file = tmp_path / "a.npy"
+        np.save(file, np.arange(np.prod(shape), dtype=np.float64).reshape(shape))
+        return np.load(file, mmap_mode="r")
+
+    @pytest.mark.parametrize(
+        "view",
+        ["whole", "contiguous_view", "strided_view"],
+    )
+    def test_memmap_roundtrips_by_value(self, tmp_path, view):
+        mm = self._memmap(tmp_path)
+        arr = {
+            "whole": mm,
+            "contiguous_view": mm[100:200],
+            "strided_view": mm[::2, ::2],
+        }[view]
+        before = _shm_entries()
+        res = ProcessExecutor(n_workers=2).map(
+            _echo, [(f"k{i}", {"x": arr}, 1.0) for i in range(3)]
+        )
+        assert res.n_failed == 0
+        for value in res.results.values():
+            assert isinstance(value["x"], np.memmap)
+            assert value["x"].shape == arr.shape
+            assert value["x"].tobytes() == arr.tobytes()
+        assert _shm_entries() == before
 
 
 class TestFaultTolerance:
@@ -306,6 +359,30 @@ class TestWorkerLoss:
         assert not victim[0].ok and "WorkerLost" in victim[0].error
         assert victim[1].ok
         assert res.results["victim"] == "victim@2"
+        assert _shm_entries() == before
+
+    def test_killed_worker_with_large_payload_is_requeued(self):
+        # The worker dies holding a multi-MB payload: the retry gets the
+        # same bytes from the parent and nothing is left in /dev/shm.
+        big = np.random.default_rng(7).normal(size=(512, 512))
+        specs = [TaskSpec(key="victim", size_hint=10.0, payload={"x": big})]
+        specs += _tasks(3, payload={"x": big[:8]})
+        before = _shm_entries()
+        res = ProcessExecutor(n_workers=2).map(
+            _suicide_then_echo,
+            specs,
+            pass_spec=True,
+            retry_policy=RetryPolicy(max_attempts=3, backoff_seconds=0.0),
+        )
+        assert res.lost_keys() == []
+        victim = [r for r in res.records if r.key == "victim"]
+        assert [r.ok for r in sorted(victim, key=lambda r: r.attempt)] == [
+            False,
+            True,
+        ]
+        _assert_bit_equal(res.results["victim"], {"x": big})
+        for spec in specs[1:]:
+            _assert_bit_equal(res.results[spec.key], {"x": big[:8]})
         assert _shm_entries() == before
 
     def test_worker_loss_counts_on_metrics(self):
