@@ -56,11 +56,11 @@ def _usable_cores() -> int:
 
 def _best_rate(structures, executor_factory) -> float:
     """Best models/sec over ``REPEATS`` timed runs (plus one warmup)."""
-    relax_many(structures, device="gpu", executor=executor_factory())
+    relax_many(structures, executor=executor_factory())
     best = float("inf")
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        relax_many(structures, device="gpu", executor=executor_factory())
+        relax_many(structures, executor=executor_factory())
         best = min(best, time.perf_counter() - t0)
     return len(structures) / best
 
@@ -78,7 +78,7 @@ def test_executor_scaling():
     assert len(structures) >= 4
 
     reference = relax_many(
-        structures, device="gpu", executor=ThreadedExecutor(n_workers=1)
+        structures, executor=ThreadedExecutor(n_workers=1)
     )
 
     rates: dict[str, dict[int, float]] = {"threaded": {}, "process": {}}
@@ -90,7 +90,7 @@ def test_executor_scaling():
         for n in WORKER_COUNTS:
             # Bit-identity at every sweep point, against the serial run.
             run = relax_many(
-                structures, device="gpu", executor=cls(n_workers=n)
+                structures, executor=cls(n_workers=n)
             )
             for key, outcome in reference.outcomes.items():
                 np.testing.assert_array_equal(

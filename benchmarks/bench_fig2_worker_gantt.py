@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import inference_task_seconds
+from repro.core.scheduling import order_tasks
 from repro.dataflow import (
     GanttLane,
     TaskSpec,
@@ -67,11 +68,10 @@ def test_fig2_worker_gantt(benchmark, tasks):
         iterations=1,
     )
     random_run = simulate_dataflow(
-        tasks,
+        order_tasks(tasks, "random", np.random.default_rng(0)),
         workers,
         _duration,
         sort_descending=False,
-        rng=np.random.default_rng(0),
     )
     # Fig. 2 now comes out of the telemetry artifact: records -> spans ->
     # Chrome trace -> lanes.  The legacy in-memory extraction is the

@@ -74,7 +74,7 @@ def test_real_batch_relaxation(casp19):
     structures = {
         t.record.record_id: t.models[0].structure for t in casp19
     }
-    batch = relax_many(structures, device="gpu")
+    batch = relax_many(structures)
     assert set(batch.outcomes) == set(structures)
     assert all(o.converged for o in batch.outcomes.values())
     clashes, _bumps = batch.total_violations_after()

@@ -170,7 +170,7 @@ def test_relax_throughput(sweep):
     serial_s, serial_out = _best_of(
         lambda: {k: protocol.run(s) for k, s in structures.items()}
     )
-    batch_s, batch = _best_of(lambda: relax_many(structures, device="gpu"))
+    batch_s, batch = _best_of(lambda: relax_many(structures))
 
     rebuilds = reuses = 0
     tm_batch_vs_serial = 0.0

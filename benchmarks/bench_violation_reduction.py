@@ -23,7 +23,7 @@ def census(casp_census):
         for target in casp_census
         for j, model in enumerate(target.models)
     }
-    batch = relax_many(structures, device="gpu")
+    batch = relax_many(structures)
     before, after = [], []
     for key in structures:
         outcome = batch.outcomes[key]

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.cluster import inference_task_seconds
 from repro.core import get_preset
+from repro.core.scheduling import order_tasks
 from repro.dataflow import (
     TaskSpec,
     extract_gantt,
@@ -48,14 +49,14 @@ def main() -> None:
         return inference_task_seconds(int(task.payload), 3, preset.n_ensembles)
 
     print(f"{len(tasks)} tasks on {len(workers)} workers\n")
-    for label, kwargs in (
-        ("greedy descending-length order (the paper's §3.3 step 3c)", {}),
-        (
-            "random order (baseline)",
-            {"sort_descending": False, "rng": np.random.default_rng(0)},
-        ),
+    random_order = order_tasks(tasks, "random", np.random.default_rng(0))
+    for label, ordered, sort in (
+        ("greedy descending-length order (the paper's §3.3 step 3c)", tasks, True),
+        ("random order (baseline)", random_order, False),
     ):
-        result = simulate_dataflow(tasks, workers, duration, **kwargs)
+        result = simulate_dataflow(
+            ordered, workers, duration, sort_descending=sort
+        )
         lanes = extract_gantt(result.records, max_workers=SHOW_WORKERS)
         print(f"== {label} ==")
         print(render_ascii_gantt(lanes, width=90))

@@ -22,6 +22,6 @@ Subpackages
 __version__ = "1.0.0"
 
 from . import constants
-from .cache import CacheStats, FeatureCache
+from .cache import FeatureCache
 
-__all__ = ["constants", "CacheStats", "FeatureCache", "__version__"]
+__all__ = ["constants", "FeatureCache", "__version__"]

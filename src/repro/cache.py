@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import pickle
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -36,29 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .msa.features import FeatureBundle, FeatureGenConfig
     from .sequences.generator import ProteinRecord
 
-__all__ = ["CacheStats", "FeatureCache"]
-
-
-@dataclass(frozen=True)
-class CacheStats:
-    """Hit/miss counters at a point in time."""
-
-    hits: int = 0
-    misses: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def since(self, earlier: "CacheStats") -> "CacheStats":
-        """Counter deltas relative to an earlier snapshot."""
-        return CacheStats(
-            hits=self.hits - earlier.hits, misses=self.misses - earlier.misses
-        )
+__all__ = ["FeatureCache"]
 
 
 class FeatureCache:
@@ -77,8 +55,6 @@ class FeatureCache:
         if self._dir is not None:
             self._dir.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
         self._bind_counters()
 
     def _bind_counters(self) -> None:
@@ -166,16 +142,13 @@ class FeatureCache:
                 else:
                     with self._lock:
                         self._memory[key] = bundle
-        with self._lock:
-            if bundle is None:
-                self._misses += 1
-            else:
-                self._hits += 1
-        # Every lookup also lands on the active metrics registry — the
-        # shared substrate stage results and exports read, replacing the
-        # per-stage snapshot/delta plumbing the pipeline used to carry.
-        # All counters were created at bind time, so an all-miss (or
-        # all-hit) run still exports the other one as an explicit zero.
+        # Every lookup lands on the active metrics registry — the one
+        # count stage results and exports read.  All counters were
+        # created at bind time, so an all-miss (or all-hit) run still
+        # exports the other one as an explicit zero — in this process
+        # only: a worker process ships counter deltas, which never carry
+        # a zero, so after an all-miss process run the parent's registry
+        # has no ``feature.cache.hits`` key at all.
         if get_metrics() is not self._registry:
             self._bind_counters()
         if bundle is None:
@@ -200,11 +173,6 @@ class FeatureCache:
             atomic_write_bytes(self._dir / f"{key}.pkl", pickle.dumps(bundle))
 
     # -- Introspection -------------------------------------------------------
-    @property
-    def stats(self) -> CacheStats:
-        with self._lock:
-            return CacheStats(hits=self._hits, misses=self._misses)
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._memory)

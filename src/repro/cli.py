@@ -3,7 +3,8 @@
 Five subcommands mirror how the paper's pipeline was actually driven:
 
 * ``repro predict``   — features + inference + relaxation for a proteome
-  sample; writes relaxed PDBs and a per-target CSV.
+  sample as a one-worker campaign (the campaign's science, bias and
+  highmem routing included); writes relaxed PDBs and a per-target CSV.
 * ``repro campaign``  — the full three-stage simulated deployment with
   node-hour accounting and the proteome confidence summary; with
   ``--telemetry-dir`` it also exports the run's trace/metrics/manifest,
@@ -142,10 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    from .core import get_preset
-    from .fold import NativeFactory, OutOfMemoryError, default_model_bank
-    from .msa import build_suite, generate_features
-    from .relax import relax_structure
+    """A one-worker campaign: the campaign's science, written out per target."""
+    from .core import ProteomePipeline
+    from .fold import NativeFactory
+    from .msa import build_suite
     from .sequences import SequenceUniverse, synthetic_proteome
     from .structure import write_pdb
 
@@ -157,33 +158,27 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     suite = build_suite(
         universe, [args.species], seed=args.seed, scale=args.scale
     ).reduced()
-    factory = NativeFactory(universe)
-    bank = default_model_bank(factory)
-    config = get_preset(args.preset).config()
-    targets = list(proteome)
-    if args.max_targets is not None:
-        targets = targets[: args.max_targets]
+    targets = proteome[: args.max_targets]
+    result = ProteomePipeline(preset_name=args.preset, compute_workers=1).run(
+        targets, suite, NativeFactory(universe)
+    )
+    features = result.feature_stage.features
+    top_models = result.inference_stage.top_models
+    outcomes = result.relax_stage.outcomes
     rows = []
     for record in targets:
-        features = generate_features(record, suite)
-        predictions = []
-        for model in bank:
-            try:
-                predictions.append(model.predict(features, config))
-            except OutOfMemoryError:
-                continue
-        if not predictions:
+        top = top_models.get(record.record_id)
+        if top is None:
             print(f"{record.record_id}: all models OOM", file=sys.stderr)
             continue
-        top = max(predictions, key=lambda p: p.ptms)
-        outcome = relax_structure(top.structure, method="gpu")
+        outcome = outcomes[record.record_id]
         pdb_path = args.out / f"{record.record_id}.pdb"
         write_pdb(outcome.structure, pdb_path)
         rows.append(
             {
                 "record_id": record.record_id,
                 "length": record.length,
-                "msa_depth": features.msa_depth,
+                "msa_depth": features[record.record_id].msa_depth,
                 "model": top.model_name,
                 "recycles": top.n_recycles,
                 "plddt": f"{top.mean_plddt:.1f}",

@@ -66,7 +66,6 @@ class BatchJob:
         """Check the jsrun layout fits the allocation."""
         if self.n_nodes < 1:
             raise ValueError("job needs at least one node")
-        pool = self.n_nodes if not self.highmem else machine.n_highmem_nodes
         if self.highmem and self.n_nodes > machine.n_highmem_nodes:
             raise ValueError(
                 f"{machine.name} has only {machine.n_highmem_nodes} "
@@ -74,7 +73,6 @@ class BatchJob:
             )
         if self.n_nodes > machine.n_nodes:
             raise ValueError(f"{machine.name} has only {machine.n_nodes} nodes")
-        del pool
         total_cores = sum(s.total_cores for s in self.statements)
         total_gpus = sum(s.total_gpus for s in self.statements)
         if total_cores > self.n_nodes * machine.cores_per_node:

@@ -44,12 +44,11 @@ scored per plan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable
 
 from ..cache import FeatureCache
-from ..cluster.machine import ANDES, SUMMIT, MachineSpec
 from ..constants import REDUCED_DATASET_BYTES
 from ..dataflow.bubbles import bubble_seconds as compute_bubble_seconds
 from ..dataflow.engine import ThreadedExecutor, auto_worker_count
@@ -62,7 +61,7 @@ from ..fold.model import MODEL_NAMES
 from ..iosim.replication import ReplicationPlan, paper_plan
 from ..msa.databases import LibrarySuite
 from ..msa.diskindex import attach_suite_index
-from ..msa.features import FeatureBundle, FeatureGenConfig
+from ..msa.features import FeatureBundle
 from ..runstate import RunState
 from ..sequences.proteome import Proteome
 from ..telemetry.metrics import get_metrics
@@ -160,10 +159,7 @@ class ProteomePipeline:
     inference_nodes: int = 32
     inference_highmem_nodes: int = 2
     relax_nodes: int = 8
-    feature_machine: MachineSpec = field(default_factory=lambda: ANDES)
-    gpu_machine: MachineSpec = field(default_factory=lambda: SUMMIT)
     replication_plan: ReplicationPlan | None = None
-    feature_config: FeatureGenConfig | None = None
     #: Route memory-hungry tasks to 2 TB nodes.  The paper did this for
     #: its proteome runs (§3.3); the Table 1 casp14 benchmark did *not*,
     #: which is why its eight longest sequences were lost to OOM.
@@ -405,12 +401,7 @@ class ProteomePipeline:
                     on_complete=on_complete,
                     initializer=stagework.init_stages,
                     initargs=(
-                        wave,
-                        suite,
-                        self.feature_config,
-                        self.feature_cache,
-                        factory,
-                        preset.name,
+                        wave, suite, self.feature_cache, factory, preset.name
                     ),
                 )
                 resolved.update(execution.results)

@@ -51,7 +51,7 @@ from ..cluster.costmodel import (
     inference_task_seconds,
     relax_task_seconds,
 )
-from ..cluster.machine import MachineSpec
+from ..cluster.machine import ANDES, SUMMIT, MachineSpec
 from ..dataflow.engine import ExecutionResult
 from ..dataflow.faults import RetryPolicy, is_oom_error
 from ..dataflow.scheduler import TaskRecord, TaskSpec, WorkerInfo, make_workers
@@ -363,21 +363,19 @@ class Campaign:
 
 
 # -- The feature stage (Andes CPUs: MSA search) -------------------------------
-def _init_feature(suite: "LibrarySuite", config: Any, cache: Any, *_: Any) -> None:
+def _init_feature(suite: "LibrarySuite", cache: Any, *_: Any) -> None:
     """The suite fingerprint memo is pre-warmed so each worker (or the
     one fork parent) pays the content hash once, not once per cache key
     computation; the k-mer indexes stay lazy."""
     suite.fingerprint()
-    _CTX.update(suite=suite, feature_config=config, feature_cache=cache)
+    _CTX.update(suite=suite, feature_cache=cache)
 
 
 def _run_feature(spec: TaskSpec) -> FeatureBundle:
     """Payload is the sequence record; no deps.  The MSA search against
     the installed suite."""
     record, _ = spec.payload
-    return generate_features(
-        record, _CTX["suite"], _CTX["feature_config"], _CTX["feature_cache"]
-    )
+    return generate_features(record, _CTX["suite"], cache=_CTX["feature_cache"])
 
 
 def _feature_workers(c: Campaign, pool: str) -> list[WorkerInfo]:
@@ -409,14 +407,14 @@ def _assemble_feature(c: Campaign) -> FeatureStageResult:
         features=features,
         simulation=c.replay("feature", costs),
         n_nodes=c.pipeline.feature_nodes,
-        machine=c.pipeline.feature_machine,
+        machine=ANDES,
         plan=c.plan,
     )
 
 
 # -- The inference stage (Summit GPUs: five models per target) ----------------
 def _init_inference(
-    suite: Any, config: Any, cache: Any, factory: "NativeFactory", preset: str
+    suite: Any, cache: Any, factory: "NativeFactory", preset: str
 ) -> None:
     """The five-model bank shares one ``factory``: the five heads of a
     target ask for the same hidden native, and whichever asks first
@@ -451,7 +449,7 @@ def _inference_workers(c: Campaign, pool: str) -> list[WorkerInfo]:
     routed = pipe.use_highmem_routing or c.retry_policy is not None
     return make_workers(
         pipe.inference_nodes,
-        pipe.gpu_machine.gpus_per_node,
+        SUMMIT.gpus_per_node,
         highmem_nodes=pipe.inference_highmem_nodes if routed else 0,
         pool=pool,
     )
@@ -498,7 +496,7 @@ def _assemble_inference(c: Campaign) -> InferenceStageResult:
         oom_failures=oom,
         simulation=c.replay("inference", costs, memory_needed),
         n_nodes=c.pipeline.inference_nodes,
-        machine=c.pipeline.gpu_machine,
+        machine=SUMMIT,
         preset=preset,
     )
 
@@ -524,8 +522,7 @@ def _run_relax(spec: TaskSpec) -> RelaxOutcome:
 
 
 def _relax_workers(c: Campaign, pool: str) -> list[WorkerInfo]:
-    pipe = c.pipeline
-    return make_workers(pipe.relax_nodes, pipe.gpu_machine.gpus_per_node, pool=pool)
+    return make_workers(c.pipeline.relax_nodes, SUMMIT.gpus_per_node, pool=pool)
 
 
 def _assemble_relax(c: Campaign) -> RelaxStageResult:
@@ -543,7 +540,7 @@ def _assemble_relax(c: Campaign) -> RelaxStageResult:
         outcomes=outcomes,
         simulation=c.replay("relax", costs),
         n_nodes=c.pipeline.relax_nodes,
-        machine=c.pipeline.gpu_machine,
+        machine=SUMMIT,
     )
 
 
@@ -635,11 +632,11 @@ STAGES: dict[str, StageDef] = {
 def init_stages(stages: tuple[str, ...], *inputs: Any) -> None:
     """Install the context of the stages one wave will run.
 
-    ``inputs`` — ``(suite, feature_config, feature_cache, factory,
-    preset_name)`` — go to each named row's ``init``.  A worker of a
-    multi-stage wave may be handed a feature task, then an inference
-    task, then a relax minimisation — there is no per-stage worker
-    lifetime to hang separate initializers on.  Only the named stages
+    ``inputs`` — ``(suite, feature_cache, factory, preset_name)`` — go
+    to each named row's ``init``.  A worker of a multi-stage wave may
+    be handed a feature task, then an inference task, then a relax
+    minimisation — there is no per-stage worker lifetime to hang
+    separate initializers on.  Only the named stages
     are set up, so a wave without the feature stage needs no ``suite``
     and one without inference no ``factory``.
     """

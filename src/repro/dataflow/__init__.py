@@ -2,7 +2,7 @@
 
 from .bubbles import bubble_seconds
 from .core import ExecutionResult, SchedulerCore
-from .engine import ThreadedExecutor, pooled_workers
+from .engine import ThreadedExecutor
 from .process import EncodedPayload, ProcessExecutor, decode_payload, encode_payload
 from .faults import (
     FaultInjector,
@@ -28,7 +28,6 @@ __all__ = [
     "SchedulerCore",
     "ThreadedExecutor",
     "ProcessExecutor",
-    "pooled_workers",
     "bubble_seconds",
     "EncodedPayload",
     "encode_payload",

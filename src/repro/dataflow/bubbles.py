@@ -33,7 +33,7 @@ seconds from makespan start):
 from __future__ import annotations
 
 from .core import UNSCHEDULED_WORKER_ID
-from .scheduler import TaskRecord, TaskSpec, WorkerInfo
+from .scheduler import TaskRecord, TaskSpec, WorkerInfo, eligible
 
 __all__ = ["bubble_seconds"]
 
@@ -84,14 +84,6 @@ def _complement(busy: list[Interval], horizon: float) -> list[Interval]:
     if cursor < horizon:
         idle.append((cursor, horizon))
     return idle
-
-
-def _eligible(worker: WorkerInfo, pool: str, highmem: bool) -> bool:
-    if highmem and not worker.highmem:
-        return False
-    if pool and worker.pool and pool != worker.pool:
-        return False
-    return True
 
 
 def bubble_seconds(
@@ -160,14 +152,14 @@ def bubble_seconds(
 
     total = 0.0
     for worker in workers:
-        eligible = [
+        waits = [
             ivs
             for (pool, highmem), ivs in merged_waiting.items()
-            if _eligible(worker, pool, highmem)
+            if eligible(worker, pool, highmem)
         ]
-        if not eligible:
+        if not waits:
             continue
-        work_exists = _merge([iv for ivs in eligible for iv in ivs])
+        work_exists = _merge([iv for ivs in waits for iv in ivs])
         idle = _complement(
             _merge(busy_by_worker[worker.worker_id]), makespan
         )

@@ -47,41 +47,6 @@ def auto_worker_count() -> int:
     return max(1, min(8, usable))
 
 
-def pooled_workers(
-    pools: dict[str, int] | None,
-    n_workers: int,
-    highmem_workers: int,
-) -> list[WorkerInfo]:
-    """Worker descriptors for one machine, optionally split into pools.
-
-    Without ``pools``: ``n_workers`` pool-less workers.  With pools,
-    workers are created per pool in dict order and the total replaces
-    ``n_workers``.  Either way the *last* ``highmem_workers`` workers
-    are flagged high-memory — callers putting the GPU pool last in the
-    dict therefore land highmem slots on GPU workers, matching the
-    paper's 2 TB inference nodes.
-    """
-    if pools:
-        workers: list[WorkerInfo] = []
-        for pool, count in pools.items():
-            if count < 0:
-                raise ValueError(f"pool {pool!r} has negative size")
-            workers.extend(
-                make_workers(n_nodes=1, workers_per_node=count, pool=pool)
-            )
-        if not workers:
-            raise ValueError("pools must provide at least one worker")
-    else:
-        workers = make_workers(n_nodes=1, workers_per_node=n_workers)
-    n = len(workers)
-    if not 0 <= highmem_workers <= n:
-        raise ValueError("highmem_workers must be in [0, n_workers]")
-    return [
-        replace(w, highmem=i >= n - highmem_workers)
-        for i, w in enumerate(workers)
-    ]
-
-
 class _Doorbell:
     """The driver's condition, as the core's lock.
 
@@ -174,27 +139,23 @@ class Executor:
     descending-size submission order, workers pulling as they free up,
     and a task-record stream identical in shape to the simulated one.
     The last ``highmem_workers`` workers play the 2 TB high-memory
-    nodes' role: only they may run ``requires_highmem`` tasks.
-
-    ``pools`` optionally splits the workers into named pools (e.g.
-    ``{"cpu": 4, "gpu": 4}``): tasks carrying a matching
-    ``TaskSpec.pool`` only dispatch to workers of that pool — a hard
-    constraint, for workers that really differ (the ParaFold-shaped
-    CPU/GPU split).  When given, the pool sizes define the worker count.
+    nodes' role: only they may run ``requires_highmem`` tasks.  The
+    workers are pool-less — they are alike, so every one runs every
+    stage (DESIGN §13).
 
     Subclasses supply the workers' bodies through :meth:`_drive`.
     """
 
-    def __init__(
-        self,
-        n_workers: int = 4,
-        highmem_workers: int = 0,
-        pools: dict[str, int] | None = None,
-    ) -> None:
-        if pools is None and n_workers < 1:
+    def __init__(self, n_workers: int = 4, highmem_workers: int = 0) -> None:
+        if n_workers < 1:
             raise ValueError("need at least one worker")
-        self.workers = pooled_workers(pools, n_workers, highmem_workers)
-        self.n_workers = len(self.workers)
+        if not 0 <= highmem_workers <= n_workers:
+            raise ValueError("highmem_workers must be in [0, n_workers]")
+        self.workers = [
+            replace(w, highmem=i >= n_workers - highmem_workers)
+            for i, w in enumerate(make_workers(1, n_workers))
+        ]
+        self.n_workers = n_workers
 
     def map(
         self,

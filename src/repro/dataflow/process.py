@@ -283,8 +283,7 @@ def run_processes(
                     continue
                 value = decode_payload(encoded_value) if ok else None
                 for name, moved in delta.items():
-                    if moved:
-                        metrics.counter(name).inc(moved)
+                    metrics.counter(name).inc(moved)
                 core.finish(
                     task, slot.info, slot.dispatched_at, now(), ok, error, value
                 )
@@ -326,9 +325,8 @@ class ProcessExecutor(Executor):
         n_workers: int = 4,
         highmem_workers: int = 0,
         start_method: str | None = None,
-        pools: dict[str, int] | None = None,
     ) -> None:
-        super().__init__(n_workers, highmem_workers, pools)
+        super().__init__(n_workers, highmem_workers)
         self.start_method = start_method or DEFAULT_START_METHOD
 
     def _drive(self, core, func, pass_spec, initializer, initargs):

@@ -43,7 +43,7 @@ from typing import Any, Callable, Iterable
 
 from ..telemetry.metrics import get_metrics
 
-__all__ = ["TaskSpec", "TaskRecord", "WorkerInfo", "TaskQueue"]
+__all__ = ["TaskSpec", "TaskRecord", "WorkerInfo", "TaskQueue", "eligible"]
 
 
 @dataclass(frozen=True)
@@ -118,6 +118,17 @@ class TaskRecord:
     @property
     def duration(self) -> float:
         return self.end - self.start
+
+
+def eligible(worker: WorkerInfo, pool: str, needs_highmem: bool) -> bool:
+    """May ``worker`` run a task of this class?  A highmem task needs a
+    high-memory worker; a pooled task needs a worker of its pool or a
+    pool-less one."""
+    if needs_highmem and not worker.highmem:
+        return False
+    if pool and worker.pool and pool != worker.pool:
+        return False
+    return True
 
 
 #: The three steps of :meth:`TaskQueue.pop`, in service order.
@@ -251,11 +262,6 @@ class TaskQueue:
         entries.sort(key=lambda e: e[0])
         return [(task, owner) for _, task, owner in entries]
 
-    @property
-    def n_blocked(self) -> int:
-        """Tasks held on unresolved dependencies."""
-        return len(self._blocked)
-
     # -- submission ----------------------------------------------------------
     def _home_of(self, task: TaskSpec) -> str:
         """Id of the worker whose local lane ``task`` belongs in, or ``""``.
@@ -269,7 +275,7 @@ class TaskQueue:
             if (
                 ran is not None
                 and (home is None or ran[0] > home[0])
-                and self._eligible(ran[1], task.pool, task.requires_highmem)
+                and eligible(ran[1], task.pool, task.requires_highmem)
             ):
                 home = ran
         return home[1].worker_id if home is not None else ""
@@ -424,21 +430,7 @@ class TaskQueue:
             )
         )
 
-    def shuffle(self, rng) -> None:
-        """Random order (the baseline the paper argues against)."""
-        items = self._owned_tasks()
-        rng.shuffle(items)
-        self._reorder(items)
-
     # -- dispatch ------------------------------------------------------------
-    @staticmethod
-    def _eligible(worker: WorkerInfo, pool: str, needs_highmem: bool) -> bool:
-        if needs_highmem and not worker.highmem:
-            return False
-        if pool and worker.pool and pool != worker.pool:
-            return False
-        return True
-
     def pop(self, worker: WorkerInfo | None = None) -> TaskSpec | None:
         """Next task this worker may run.
 
@@ -465,7 +457,7 @@ class TaskQueue:
             pool, needs_highmem, owner = lane_key
             if worker is None:
                 step = _SHARED
-            elif not self._eligible(worker, pool, needs_highmem):
+            elif not eligible(worker, pool, needs_highmem):
                 continue
             elif not owner:
                 step = _SHARED
@@ -492,7 +484,7 @@ class TaskQueue:
         them: any eligible worker may steal.
         """
         return any(
-            lane and any(self._eligible(w, pool, highmem) for w in workers)
+            lane and any(eligible(w, pool, highmem) for w in workers)
             for (pool, highmem, _), lane in self._lanes.items()
         )
 

@@ -172,7 +172,6 @@ def simulate_dataflow(
     workers: list[WorkerInfo],
     duration_fn: Callable[[TaskSpec], float],
     sort_descending: bool = True,
-    rng=None,
     task_overhead: float = DASK_TASK_OVERHEAD_SECONDS,
     startup: float = SCHEDULER_STARTUP_SECONDS,
     failure_fn: Callable[[TaskSpec, WorkerInfo], str | None] | None = None,
@@ -182,10 +181,11 @@ def simulate_dataflow(
 
     ``duration_fn`` maps a task to its modelled runtime (seconds).
     ``sort_descending=True`` applies the paper's greedy length sort;
-    ``False`` with an ``rng`` shuffles (the baseline).  ``failure_fn``
-    may return an error string for (task, worker) pairs that fail —
-    e.g. out-of-memory tasks on standard-memory workers — which are
-    recorded as failed with a short abort duration.
+    ``False`` keeps ``tasks`` in the given order (order them first with
+    :func:`repro.core.scheduling.order_tasks` for a baseline).
+    ``failure_fn`` may return an error string for (task, worker) pairs
+    that fail — e.g. out-of-memory tasks on standard-memory workers —
+    which are recorded as failed with a short abort duration.
 
     Scheduling policy — memory-aware dispatch, retries with backoff and
     OOM escalation, poisoned chains, the ``NoEligibleWorker`` drain —
@@ -204,8 +204,6 @@ def simulate_dataflow(
         failure_fn=failure_fn,
         stage="sim.dataflow",
     )
-    if not sort_descending and rng is not None:
-        core.queue.shuffle(rng)
     makespan = run_simulated(core, duration_fn, task_overhead)
     core.drain(makespan)
     return SimulationResult(

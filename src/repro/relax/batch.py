@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable
 
 from ..dataflow.engine import (
     ExecutionResult,
@@ -35,7 +34,6 @@ from ..dataflow.process import ProcessExecutor
 from ..dataflow.scheduler import TaskSpec
 from ..structure.protein import Structure
 from ..telemetry.tracer import get_tracer
-from .forcefield import ForceFieldParams
 from .protocols import RelaxOutcome, SinglePassRelaxProtocol
 
 __all__ = ["BatchRelaxResult", "relax_many"]
@@ -65,64 +63,42 @@ class BatchRelaxResult:
         return clashes, bumps
 
 
-def _as_mapping(
-    structures: Mapping[str, Structure] | Iterable[Structure],
-) -> dict[str, Structure]:
-    if isinstance(structures, Mapping):
-        return dict(structures)
-    out: dict[str, Structure] = {}
-    for i, structure in enumerate(structures):
-        key = structure.record_id or f"structure-{i}"
-        if key in out:  # same record relaxed for several model heads
-            key = f"{key}/{structure.model_name or i}"
-        if key in out:
-            key = f"{key}#{i}"
-        out[key] = structure
-    return out
-
-
 def relax_many(
-    structures: Mapping[str, Structure] | Iterable[Structure],
-    protocol: SinglePassRelaxProtocol | None = None,
-    device: str = "gpu",
-    params: ForceFieldParams | None = None,
-    n_workers: int = 0,
+    structures: Mapping[str, Structure],
     executor: ThreadedExecutor | ProcessExecutor | None = None,
 ) -> BatchRelaxResult:
-    """Relax a batch of structures on executor workers.
+    """Relax a batch of structures on executor workers, with the relax
+    stage's protocol (:class:`SinglePassRelaxProtocol` on ``"gpu"``).
 
-    ``structures`` may be a mapping (keys become task keys) or any
-    iterable of structures (keyed by record id, disambiguated by model
-    name).  ``n_workers=0`` auto-sizes to the machine, capped at 8 and
-    at the batch size; pass an ``executor`` to reuse a configured one
-    (the executor-scaling benchmark does) — threaded or process-backed,
+    Keys of ``structures`` become task keys.  Without an ``executor``
+    the batch runs on threads, one per usable core, capped at 8 and at
+    the batch size; pass one to reuse a configured executor (the
+    executor-scaling benchmark does) — threaded or process-backed,
     since the task callable (a bound protocol method) and the prepared
     systems both pickle.  Task failures are not tolerated here — a
     relaxation that throws is a bug, not an operational event — so any
     failed record re-raises.
     """
-    by_key = _as_mapping(structures)
-    protocol = protocol or SinglePassRelaxProtocol(device=device, params=params)
+    protocol = SinglePassRelaxProtocol(device="gpu")
     tracer = get_tracer()
     with tracer.span(
         "batch",
         "relax_many",
-        attrs={"n_structures": len(by_key), "device": protocol.device},
+        attrs={"n_structures": len(structures), "device": protocol.device},
     ):
         with tracer.span("phase", "relax.prepare"):
             prepared = {
                 key: protocol.prepare(structure)
-                for key, structure in by_key.items()
+                for key, structure in structures.items()
             }
         tasks = [
-            TaskSpec(key=key, payload=prep, size_hint=len(by_key[key]))
+            TaskSpec(key=key, payload=prep, size_hint=len(structures[key]))
             for key, prep in prepared.items()
         ]
         if executor is None:
-            n = n_workers
-            if n <= 0:
-                n = auto_worker_count()
-            executor = ThreadedExecutor(min(n, max(1, len(tasks))))
+            executor = ThreadedExecutor(
+                min(auto_worker_count(), max(1, len(tasks)))
+            )
         execution = executor.map(protocol.run_prepared, tasks, stage="relax")
     failed = [r for r in execution.records if not r.ok]
     if failed:
@@ -130,5 +106,5 @@ def relax_many(
         raise RuntimeError(
             f"relax_many: {len(failed)} relaxation(s) failed — {summary}"
         )
-    outcomes = {key: execution.results[key] for key in by_key}
+    outcomes = {key: execution.results[key] for key in structures}
     return BatchRelaxResult(outcomes=outcomes, execution=execution)

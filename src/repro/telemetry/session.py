@@ -26,7 +26,7 @@ from .export import (
     write_metrics_json,
 )
 from .metrics import MetricsRegistry, use_metrics
-from .tracer import Span, Tracer, use_tracer
+from .tracer import Tracer, use_tracer
 
 __all__ = ["TelemetrySession"]
 
@@ -42,7 +42,6 @@ class TelemetrySession:
         self.run_dir = Path(run_dir) if run_dir is not None else None
         self.tracer = Tracer(clock=clock)
         self.metrics = MetricsRegistry()
-        self.extra_spans: list[Span] = []
         self.manifest_fields: dict[str, Any] = {}
 
     @contextmanager
@@ -50,10 +49,6 @@ class TelemetrySession:
         """Install this session's tracer and registry globally."""
         with use_tracer(self.tracer), use_metrics(self.metrics):
             yield self
-
-    def add_spans(self, spans: list[Span]) -> None:
-        """Attach externally built spans (e.g. simulated-run records)."""
-        self.extra_spans.extend(spans)
 
     def annotate(self, **fields: Any) -> None:
         """Stash manifest fields as the run learns them."""
@@ -74,7 +69,7 @@ class TelemetrySession:
         write_manifest(paths["manifest"], **fields)
         write_chrome_trace(
             paths["trace"],
-            list(self.tracer.spans) + self.extra_spans,
+            list(self.tracer.spans),
             events=list(self.tracer.events),
         )
         write_metrics_json(paths["metrics"], self.metrics)

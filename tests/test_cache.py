@@ -8,13 +8,22 @@ import threading
 import numpy as np
 import pytest
 
-from repro.cache import CacheStats, FeatureCache
+from repro.cache import FeatureCache
 from repro.msa import build_suite, generate_features
 from repro.msa.databases import LibraryEntry, LibrarySuite, SequenceLibrary
 from repro.msa.features import FeatureGenConfig
 from repro.telemetry.metrics import MetricsRegistry, use_metrics
 
 CONFIG = FeatureGenConfig()
+
+
+def _lookups(registry: MetricsRegistry) -> tuple[int, int]:
+    """(hits, misses) the cache counted on ``registry``."""
+    counts = registry.counter_values("feature.cache.")
+    return (
+        int(counts.get("feature.cache.hits", 0)),
+        int(counts.get("feature.cache.misses", 0)),
+    )
 
 
 @pytest.fixture()
@@ -105,9 +114,10 @@ class TestKeying:
 class TestHitMiss:
     def test_miss_then_hit(self, record, suite):
         cache = FeatureCache()
-        first = generate_features(record, suite, cache=cache)
-        second = generate_features(record, suite, cache=cache)
-        assert cache.stats == CacheStats(hits=1, misses=1)
+        with use_metrics(MetricsRegistry()) as registry:
+            first = generate_features(record, suite, cache=cache)
+            second = generate_features(record, suite, cache=cache)
+        assert _lookups(registry) == (1, 1)
         assert len(cache) == 1
         assert second.msa_depth == first.msa_depth
         assert second.effective_depth == first.effective_depth
@@ -127,17 +137,9 @@ class TestHitMiss:
 
     def test_get_unknown_key_counts_miss(self):
         cache = FeatureCache()
-        assert cache.get("no-such-key") is None
-        assert cache.stats == CacheStats(hits=0, misses=1)
-
-    def test_stats_since(self):
-        a = CacheStats(hits=3, misses=5)
-        b = CacheStats(hits=10, misses=6)
-        delta = b.since(a)
-        assert delta == CacheStats(hits=7, misses=1)
-        assert delta.lookups == 8
-        assert delta.hit_rate == pytest.approx(7 / 8)
-        assert CacheStats().hit_rate == 0.0
+        with use_metrics(MetricsRegistry()) as registry:
+            assert cache.get("no-such-key") is None
+        assert _lookups(registry) == (0, 1)
 
 
 class TestDisk:
@@ -146,8 +148,9 @@ class TestDisk:
         bundle = generate_features(record, suite, cache=first)
         # A fresh cache instance (new process in real life) hits disk.
         second = FeatureCache(directory=tmp_path)
-        reloaded = generate_features(record, suite, cache=second)
-        assert second.stats == CacheStats(hits=1, misses=0)
+        with use_metrics(MetricsRegistry()) as registry:
+            reloaded = generate_features(record, suite, cache=second)
+        assert _lookups(registry) == (1, 0)
         assert reloaded.msa_depth == bundle.msa_depth
         assert reloaded.record_id == bundle.record_id
 
@@ -156,8 +159,9 @@ class TestDisk:
         generate_features(record, suite, cache=cache)
         cache.clear_memory()
         assert len(cache) == 0
-        generate_features(record, suite, cache=cache)
-        assert cache.stats.hits == 1
+        with use_metrics(MetricsRegistry()) as registry:
+            generate_features(record, suite, cache=cache)
+        assert _lookups(registry) == (1, 0)
 
     def test_corrupt_entry_is_a_miss(self, record, suite, tmp_path):
         cache = FeatureCache(directory=tmp_path)
@@ -166,8 +170,9 @@ class TestDisk:
         (tmp_path / f"{key}.pkl").write_bytes(b"not a pickle")
         cache.clear_memory()
         fresh = FeatureCache(directory=tmp_path)
-        assert fresh.get(key) is None
-        assert fresh.stats == CacheStats(hits=0, misses=1)
+        with use_metrics(MetricsRegistry()) as registry:
+            assert fresh.get(key) is None
+        assert _lookups(registry) == (0, 1)
 
     def test_corrupt_entry_quarantined(self, record, suite, tmp_path):
         """A bad disk entry is unlinked and counted, not retried forever."""

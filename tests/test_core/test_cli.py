@@ -19,26 +19,53 @@ def test_requires_subcommand():
         build_parser().parse_args([])
 
 
-def test_predict_writes_pdbs_and_csv(tmp_path, capsys):
+@pytest.mark.parametrize("species", ["P_mercurii", "S_divinum"])
+def test_predict_writes_pdbs_and_csv(species, tmp_path, capsys):
+    """``repro predict`` is a one-worker campaign: every PDB and summary
+    row is the campaign's, plant difficulty bias included."""
+    from repro.core import ProteomePipeline
+    from repro.fold import NativeFactory
+    from repro.msa import build_suite
+    from repro.sequences import SequenceUniverse, synthetic_proteome
+    from repro.structure import write_pdb
+
+    out = tmp_path / "predict"
     rc = main(
         [
             "predict",
-            "--species", "P_mercurii",
+            "--species", species,
             "--scale", "0.002",
             "--max-targets", "2",
             "--seed", "3",
-            "--out", str(tmp_path),
+            "--out", str(out),
         ]
     )
     assert rc == 0
-    pdbs = list(tmp_path.glob("*.pdb"))
-    assert len(pdbs) == 2
-    with open(tmp_path / "summary.csv") as fh:
+    assert len(list(out.glob("*.pdb"))) == 2
+    with open(out / "summary.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
-    assert {"record_id", "plddt", "ptms", "recycles"} <= set(rows[0])
-    out = capsys.readouterr().out
-    assert "pLDDT" in out
+    assert "pLDDT" in capsys.readouterr().out
+
+    universe = SequenceUniverse(3)
+    targets = synthetic_proteome(species, universe=universe, seed=3, scale=0.002)[:2]
+    suite = build_suite(universe, [species], seed=3, scale=0.002).reduced()
+    campaign = ProteomePipeline(compute_workers=1).run(
+        targets, suite, NativeFactory(universe)
+    )
+    top_models = campaign.inference_stage.top_models
+    assert [row["record_id"] for row in rows] == list(top_models)
+    for row in rows:
+        top = top_models[row["record_id"]]
+        assert (row["model"], row["recycles"], row["plddt"], row["ptms"]) == (
+            top.model_name,
+            str(top.n_recycles),
+            f"{top.mean_plddt:.1f}",
+            f"{top.ptms:.3f}",
+        )
+        expected = tmp_path / "campaign.pdb"
+        write_pdb(campaign.relax_stage.outcomes[row["record_id"]].structure, expected)
+        assert (out / row["pdb"]).read_bytes() == expected.read_bytes()
 
 
 def test_relax_roundtrip(tmp_path, capsys, factory, proteome):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.scheduling import order_tasks
 from repro.dataflow import (
     TaskQueue,
     TaskSpec,
@@ -38,12 +39,6 @@ class TestTaskQueue:
         q.submit_many([TaskSpec(key=k, size_hint=7) for k in "cba"])
         q.sort_descending()
         assert [t.key for t in q.tasks] == ["a", "b", "c"]
-
-    def test_shuffle(self):
-        q = TaskQueue()
-        q.submit_many(_tasks(range(50)))
-        q.shuffle(np.random.default_rng(0))
-        assert [t.key for t in q.tasks] != [f"t{i}" for i in range(50)]
 
     def test_skipped_highmem_task_served_next_in_order(self):
         """A highmem task skipped by a standard worker must still go to
@@ -158,11 +153,10 @@ class TestSimulatedDataflow:
         )
         random_runs = [
             simulate_dataflow(
-                tasks,
+                order_tasks(tasks, "random", np.random.default_rng(s)),
                 workers,
                 lambda t: t.size_hint,
                 sort_descending=False,
-                rng=np.random.default_rng(s),
                 task_overhead=0.0,
                 startup=0.0,
             )

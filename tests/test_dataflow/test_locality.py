@@ -31,6 +31,7 @@ from repro.cluster import (
     relax_task_seconds,
 )
 from repro.core import streaming
+from repro.core.scheduling import order_tasks
 from repro.dataflow import (
     ProcessExecutor,
     RetryPolicy,
@@ -207,15 +208,6 @@ class TestBookkeepingSeesLocalLanes:
             "kid3", "kid2", "kid1", "kid0", "solo",
         ]
 
-    def test_shuffle_keeps_owners(self):
-        q, a = self._queue_with_local_tasks()
-        q.shuffle(np.random.default_rng(0))
-        assert sorted(t.key for t in q.tasks) == [
-            "kid0", "kid1", "kid2", "kid3", "solo",
-        ]
-        popped = [q.pop(a).key for _ in range(5)]
-        assert popped[-1] == "solo"
-
     def test_schedulable_for_counts_a_peers_local_lane(self):
         q, _ = self._queue_with_local_tasks()
         b = worker("b")
@@ -316,17 +308,14 @@ class TestFifoInvariance:
             for i in range(200)
         ]
         workers = make_workers(3, 4, highmem_nodes=1)
+        shuffled = order_tasks(tasks, "random", np.random.default_rng(9))
         runs = {}
         for label, queue_cls in (("now", TaskQueue), ("ref", FifoQueue)):
             monkeypatch.setattr(simulated, "TaskQueue", queue_cls)
             runs[label] = (
                 simulate_dataflow(tasks, workers, lambda t: t.size_hint),
                 simulate_dataflow(
-                    tasks,
-                    workers,
-                    lambda t: t.size_hint,
-                    sort_descending=False,
-                    rng=np.random.default_rng(9),
+                    shuffled, workers, lambda t: t.size_hint, sort_descending=False
                 ),
             )
         for now, ref in zip(runs["now"], runs["ref"]):

@@ -20,8 +20,8 @@ from repro.dataflow import (
     TaskQueue,
     ThreadedExecutor,
 )
-from repro.dataflow.scheduler import TaskSpec, WorkerInfo
-from repro.dataflow.simulated import UNSCHEDULED_WORKER_ID
+from repro.dataflow.scheduler import TaskSpec, WorkerInfo, make_workers
+from repro.dataflow.simulated import UNSCHEDULED_WORKER_ID, simulate_dataflow
 from repro.telemetry import MetricsRegistry, use_metrics
 
 #: Generous wall-clock guard for the no-deadlock assertions: a hung
@@ -287,23 +287,16 @@ class TestExecutorChains:
         assert wait["min"] >= 0.0
 
 
-class TestPooledExecutors:
-    def test_threaded_pools_route_tasks(self):
-        ex = ThreadedExecutor(pools={"cpu": 1, "gpu": 1})
+class TestPooledWorkers:
+    def test_pools_route_tasks(self):
+        workers = make_workers(1, 1, pool="cpu") + make_workers(1, 1, pool="gpu")
         specs = [
             TaskSpec(key=f"{pool}/{i}", payload=i, size_hint=1.0, pool=pool)
             for pool in ("cpu", "gpu")
             for i in range(3)
         ]
-        result = run_guarded(
-            lambda: ex.map(lambda p: p, specs, pass_spec=False)
-        )
-        assert len(result.results) == 6
-        pool_of = {w.worker_id: w.pool for w in ex.workers}
-        for r in result.records:
+        sim = simulate_dataflow(specs, workers, lambda t: 1.0)
+        assert len(sim.records) == 6 and sim.n_failed == 0
+        pool_of = {w.worker_id: w.pool for w in workers}
+        for r in sim.records:
             assert pool_of[r.worker_id] == r.key.partition("/")[0]
-
-    def test_highmem_slot_lands_in_last_pool(self):
-        ex = ThreadedExecutor(pools={"cpu": 2, "gpu": 2}, highmem_workers=1)
-        highmem = [w for w in ex.workers if w.highmem]
-        assert len(highmem) == 1 and highmem[0].pool == "gpu"

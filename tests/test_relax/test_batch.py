@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.dataflow import ThreadedExecutor
 from repro.fold import NativeFactory, PredictionConfig, SurrogateFoldModel
 from repro.msa import generate_features
 from repro.relax import SinglePassRelaxProtocol, relax_many
-from repro.relax.batch import _as_mapping
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +27,7 @@ def test_batched_matches_serial(structures):
         key: SinglePassRelaxProtocol(device="gpu").run(s)
         for key, s in structures.items()
     }
-    batch = relax_many(structures, device="gpu", n_workers=4)
+    batch = relax_many(structures, executor=ThreadedExecutor(4))
     assert set(batch.outcomes) == set(serial)
     for key, expected in serial.items():
         got = batch.outcomes[key]
@@ -46,33 +46,21 @@ def test_auto_worker_count_follows_the_affinity_mask(structures, monkeypatch):
     monkeypatch.setattr(
         os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
     )
-    batch = relax_many(structures, device="gpu", n_workers=0)
+    batch = relax_many(structures)
     assert len(batch.execution.workers) == 3
 
 
 def test_worker_count_invariance(structures):
-    one = relax_many(structures, device="gpu", n_workers=1)
-    four = relax_many(structures, device="gpu", n_workers=4)
+    one = relax_many(structures, executor=ThreadedExecutor(1))
+    four = relax_many(structures, executor=ThreadedExecutor(4))
     for key in structures:
         np.testing.assert_array_equal(
             one.outcomes[key].structure.ca, four.outcomes[key].structure.ca
         )
 
 
-def test_iterable_input_keyed_by_record_id(structures):
-    batch = relax_many(list(structures.values()), device="gpu")
-    assert set(batch.outcomes) == set(structures)
-
-
-def test_as_mapping_disambiguates_duplicates(structures):
-    first = next(iter(structures.values()))
-    mapping = _as_mapping([first, first])
-    assert len(mapping) == 2
-    assert first.record_id in mapping
-
-
 def test_batch_result_accounting(structures):
-    batch = relax_many(structures, device="gpu")
+    batch = relax_many(structures)
     assert batch.walltime_seconds > 0
     assert batch.models_per_second > 0
     clashes, bumps = batch.total_violations_after()
