@@ -142,6 +142,27 @@ class TestHitMiss:
         assert _lookups(registry) == (0, 1)
 
 
+    def test_stats_since(self, record, suite):
+        """Lookups since a snapshot are the registry's counter delta;
+        a counter that did not move is absent from it."""
+        cache = FeatureCache()
+        with use_metrics(MetricsRegistry()) as registry:
+            generate_features(record, suite, cache=cache)
+            generate_features(record, suite, cache=cache)
+            before = registry.counter_values("feature.cache.")
+            generate_features(record, suite, cache=cache)
+            assert cache.get("no-such-key") is None
+            after = registry.counter_values("feature.cache.")
+            assert MetricsRegistry.delta(before, after) == {
+                "feature.cache.hits": 1.0,
+                "feature.cache.misses": 1.0,
+            }
+            generate_features(record, suite, cache=cache)
+            latest = registry.counter_values("feature.cache.")
+        assert MetricsRegistry.delta(after, latest) == {"feature.cache.hits": 1.0}
+        assert _lookups(registry) == (3, 2)
+
+
 class TestDisk:
     def test_disk_roundtrip_across_instances(self, record, suite, tmp_path):
         first = FeatureCache(directory=tmp_path)

@@ -40,6 +40,17 @@ class TestTaskQueue:
         q.sort_descending()
         assert [t.key for t in q.tasks] == ["a", "b", "c"]
 
+    def test_shuffle(self):
+        """The random baseline is a reordering before submission: the
+        queue keeps the shuffled order as given, and loses no task."""
+        shuffled = order_tasks(_tasks(range(50)), "random", np.random.default_rng(0))
+        q = TaskQueue()
+        q.submit_many(shuffled)
+        keys = [t.key for t in q.tasks]
+        assert keys == [t.key for t in shuffled]
+        assert keys != [f"t{i}" for i in range(50)]
+        assert sorted(keys) == sorted(f"t{i}" for i in range(50))
+
     def test_skipped_highmem_task_served_next_in_order(self):
         """A highmem task skipped by a standard worker must still go to
         the *next* highmem worker, ahead of younger highmem tasks."""

@@ -208,6 +208,29 @@ class TestBookkeepingSeesLocalLanes:
             "kid3", "kid2", "kid1", "kid0", "solo",
         ]
 
+    def test_shuffle_keeps_owners(self):
+        """Children submitted in a random order still land in the local
+        lane of the worker that completed their parent."""
+        a = worker("a")
+        rest = order_tasks(
+            [
+                TaskSpec(key=f"kid{i}", size_hint=float(i), depends_on=("root",))
+                for i in range(4)
+            ]
+            + [TaskSpec(key="solo", size_hint=2.5)],
+            "random",
+            np.random.default_rng(0),
+        )
+        q = TaskQueue()
+        q.submit_many([spec("root")] + rest)
+        assert q.pop(a).key == "root"
+        q.mark_complete("root", a)
+        assert sorted(t.key for t in q.tasks) == [
+            "kid0", "kid1", "kid2", "kid3", "solo",
+        ]
+        popped = [q.pop(a).key for _ in range(5)]
+        assert popped[-1] == "solo"
+
     def test_schedulable_for_counts_a_peers_local_lane(self):
         q, _ = self._queue_with_local_tasks()
         b = worker("b")

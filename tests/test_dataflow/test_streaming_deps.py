@@ -300,3 +300,23 @@ class TestPooledWorkers:
         pool_of = {w.worker_id: w.pool for w in workers}
         for r in sim.records:
             assert pool_of[r.worker_id] == r.key.partition("/")[0]
+
+    def test_highmem_slot_lands_in_last_pool(self):
+        """A high-memory node flagged in the GPU pool serves the GPU
+        pool's oversized tasks, and only those."""
+        workers = make_workers(2, 1, pool="cpu") + make_workers(
+            2, 1, highmem_nodes=1, pool="gpu"
+        )
+        highmem = [w for w in workers if w.highmem]
+        assert len(highmem) == 1 and highmem[0].pool == "gpu"
+        specs = [
+            TaskSpec(key=f"gpu/big{i}", size_hint=1.0, pool="gpu",
+                     requires_highmem=True)
+            for i in range(2)
+        ] + [
+            TaskSpec(key=f"cpu/{i}", size_hint=1.0, pool="cpu") for i in range(2)
+        ]
+        sim = simulate_dataflow(specs, workers, lambda t: 1.0)
+        assert sim.n_failed == 0
+        ran_on = {r.key: r.worker_id for r in sim.records}
+        assert ran_on["gpu/big0"] == ran_on["gpu/big1"] == highmem[0].worker_id

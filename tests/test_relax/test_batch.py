@@ -59,6 +59,24 @@ def test_worker_count_invariance(structures):
         )
 
 
+def test_outcomes_keyed_like_the_input(structures):
+    """Mapping keys, not record ids, key the outcomes and the tasks."""
+    renamed = {f"model_{i}": s for i, s in enumerate(structures.values())}
+    batch = relax_many(renamed, executor=ThreadedExecutor(2))
+    assert list(batch.outcomes) == list(renamed)
+    assert {r.key for r in batch.execution.records} == set(renamed)
+
+
+def test_duplicate_structure_under_two_keys(structures):
+    """One structure under two keys relaxes twice, to the same result."""
+    first = next(iter(structures.values()))
+    batch = relax_many({"a": first, "b": first}, executor=ThreadedExecutor(2))
+    assert len(batch.outcomes) == 2
+    np.testing.assert_array_equal(
+        batch.outcomes["a"].structure.ca, batch.outcomes["b"].structure.ca
+    )
+
+
 def test_batch_result_accounting(structures):
     batch = relax_many(structures)
     assert batch.walltime_seconds > 0
