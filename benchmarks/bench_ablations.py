@@ -108,16 +108,16 @@ def test_decomposition_ablation(lengths):
         "Ablation 2 — task decomposition (same total work)",
         f"(model, target) pairs : makespan "
         f"{pair_run.makespan_seconds / 3600:.2f} h, spread "
-        f"{pair_run.finish_spread_seconds / 60:.1f} min",
+        f"{pair_run.finish_spread_seconds() / 60:.1f} min",
         f"whole-target tasks    : makespan "
         f"{whole_run.makespan_seconds / 3600:.2f} h, spread "
-        f"{whole_run.finish_spread_seconds / 60:.1f} min",
+        f"{whole_run.finish_spread_seconds() / 60:.1f} min",
     ]
     save_result("ablation_decomposition", "\n".join(lines))
     # Finer decomposition can only help the tail.
     assert pair_run.makespan_seconds <= whole_run.makespan_seconds + 1e-9
     assert (
-        pair_run.finish_spread_seconds <= whole_run.finish_spread_seconds + 1e-9
+        pair_run.finish_spread_seconds() <= whole_run.finish_spread_seconds() + 1e-9
     )
 
 

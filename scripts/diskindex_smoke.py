@@ -6,8 +6,9 @@ library deployment (§3.2.1):
 
 1. **Artifact build.**  ``repro index build`` must produce one
    fingerprint-addressed artifact directory per library, each with a
-   schema-2 manifest and exactly the manifest's array files beside it
-   (no ``shard*`` file from the retired schema-1 layout).
+   schema-3 manifest and exactly the manifest's array files beside it:
+   the rank table's ``bitmap``/``rank``, no dense ``lut.npy`` of
+   schema 2 and no ``shard*`` file of schema 1.
 
 2. **Zero-rebuild campaign.**  A ``repro campaign --executor process
    --index-dir`` run against the prebuilt artifacts must finish with
@@ -83,7 +84,7 @@ def artifact_build(index_dir: Path) -> None:
     for m in manifests:
         manifest = json.loads(m.read_text())
         check(
-            manifest.get("schema") == "repro.msa.diskindex/2",
+            manifest.get("schema") == "repro.msa.diskindex/3",
             f"{m.parent.name}: manifest schema",
         )
         files = {p.name for p in m.parent.iterdir()}
@@ -94,6 +95,11 @@ def artifact_build(index_dir: Path) -> None:
             files == expected and not any(f.startswith("shard") for f in files),
             f"{m.parent.name}: exactly the manifest's arrays "
             f"({sorted(files)})",
+        )
+        check(
+            "lut.npy" not in files
+            and {"bitmap.npy", "rank.npy"} <= files,
+            f"{m.parent.name}: rank table saved, no dense lut.npy",
         )
 
 

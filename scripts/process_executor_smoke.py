@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """End-to-end smoke test for the multiprocessing executor backend.
 
-Two layers, mirroring how the paper's deployment lost and recovered
-workers (§3.3):
+Four layers; the first two mirror how the paper's deployment lost and
+recovered workers (§3.3):
 
 1. **API-level worker loss.**  A ``ProcessExecutor`` runs a task that
    SIGKILLs its own worker process on the first attempt — the exact
@@ -18,7 +18,13 @@ workers (§3.3):
    the process backend composes with durable state exactly like the
    threaded one (completions are ledgered in the parent).
 
-3. **Lazy state is built once, and still pickles.**  A 2-thread barrier
+3. **Workers run BLAS on one thread.**  Every worker, forked or
+   spawned, reports each loaded OpenBLAS pool at one thread (the
+   parent's pool sizes are printed beside it).  CI does not pin BLAS,
+   so this is the end-to-end check that workers do not oversubscribe
+   the cores.
+
+4. **Lazy state is built once, and still pickles.**  A 2-thread barrier
    mini-campaign under a ``TelemetrySession`` must export
    ``msa.index.rebuild == n_libraries`` and run exactly the family-fold
    collapses and member re-settles one thread alone runs (racing
@@ -45,6 +51,7 @@ from pathlib import Path
 
 from repro.core import ProteomePipeline
 from repro.dataflow import ProcessExecutor, RetryPolicy, TaskSpec
+from repro.dataflow.process import openblas_threads
 from repro.fold import NativeFactory, generator
 from repro.msa import build_suite
 from repro.sequences import SequenceUniverse, synthetic_proteome
@@ -107,6 +114,26 @@ def api_level_worker_loss() -> None:
         all(result.results[f"t{i}"] == f"t{i}@1" for i in range(8)),
         "bystander tasks all completed first attempt",
     )
+
+
+def _blas_threads(_payload):
+    return openblas_threads()
+
+
+def worker_blas_threads() -> None:
+    print(f"  parent OpenBLAS pools: {openblas_threads()} threads")
+    for start_method in ("fork", "spawn"):
+        result = ProcessExecutor(2, start_method=start_method).map(
+            _blas_threads, [(f"k{i}", i, 1.0) for i in range(4)]
+        )
+        counts = list(result.results.values())
+        check(
+            result.n_failed == 0
+            and len(counts) == 4
+            and all(c and set(c) == {1} for c in counts),
+            f"{start_method}ed workers run each OpenBLAS pool on one "
+            f"thread ({counts})",
+        )
 
 
 def cli_campaign_composition() -> None:
@@ -226,11 +253,13 @@ def single_flight_and_spawn() -> None:
 
 
 def main() -> int:
-    print("[1/3] API-level worker kill -9 / requeue")
+    print("[1/4] API-level worker kill -9 / requeue")
     api_level_worker_loss()
-    print("[2/3] CLI campaign with --executor process + --state-dir/--resume")
+    print("[2/4] CLI campaign with --executor process + --state-dir/--resume")
     cli_campaign_composition()
-    print("[3/3] lazy state: built once under 2 threads, pickles to spawn")
+    print("[3/4] worker BLAS pools run on one thread")
+    worker_blas_threads()
+    print("[4/4] lazy state: built once under 2 threads, pickles to spawn")
     single_flight_and_spawn()
     print("process-executor smoke ok")
     return 0

@@ -26,10 +26,18 @@ Workers run ``initializer(*initargs)`` once at startup before their
 first task — the hook stage code uses to rehydrate a shared context
 (library suite with its frozen k-mer index, model bank) exactly once
 per process instead of once per task.
+
+Workers run BLAS on one thread.  A forked worker inherits OpenBLAS pools
+sized to the whole machine, so N workers would each start one BLAS
+thread per core and oversubscribe it; the pool size is read when the
+library loads, so an environment variable set later does nothing.  The
+worker therefore resizes every loaded OpenBLAS pool through the
+library's own entry point before its initializer runs.
 """
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 from dataclasses import dataclass, replace
 from multiprocessing.connection import Connection, wait as connection_wait
@@ -46,6 +54,7 @@ __all__ = [
     "ProcessExecutor",
     "decode_payload",
     "encode_payload",
+    "openblas_threads",
     "run_processes",
 ]
 
@@ -85,6 +94,54 @@ def decode_payload(payload: EncodedPayload) -> Any:
     return payload.skeleton
 
 
+#: ``{}_num_threads`` entry points of the OpenBLAS builds numpy and
+#: scipy wheels ship: numpy >= 2 (``scipy_openblas64_``), scipy
+#: (``scipy_openblas``), and older numpy wheels (``openblas64_``).
+_OPENBLAS_SYMBOLS = (
+    "scipy_openblas_{}_num_threads64_",
+    "scipy_openblas_{}_num_threads",
+    "openblas_{}_num_threads64_",
+    "openblas_{}_num_threads",
+)
+
+
+def _openblas_pools() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
+    """``(get, set)`` thread-count functions of every OpenBLAS library
+    this process has loaded; empty where none is found (or ``/proc`` is
+    absent)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = {
+                line.split(maxsplit=5)[5].strip()
+                for line in maps
+                if "openblas" in line
+            }
+    except OSError:
+        return []
+    pools = []
+    for path in sorted(paths):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for template in _OPENBLAS_SYMBOLS:
+            try:
+                get = getattr(library, template.format("get"))
+                set_ = getattr(library, template.format("set"))
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            pools.append((get, set_))
+            break
+    return pools
+
+
+def openblas_threads() -> list[int]:
+    """Thread count of every OpenBLAS pool loaded in this process."""
+    return [get() for get, _set in _openblas_pools()]
+
+
 def _worker_main(
     conn: Connection,
     func: Callable[[Any], Any],
@@ -100,10 +157,13 @@ def _worker_main(
     counter deltas a clean zero baseline.  Deltas ride each result
     message back; the parent merges them, which is how worker-side
     instrumentation (cache hits, Verlet rebuilds) still lands on the
-    campaign's metrics.
+    campaign's metrics.  Then BLAS is pinned to one thread (see the
+    module docstring) before the initializer runs.
     """
     registry = set_metrics(MetricsRegistry())
     set_tracer(None)
+    for _get, set_threads in _openblas_pools():
+        set_threads(1)
     if initializer is not None:
         initializer(*initargs)
     while True:

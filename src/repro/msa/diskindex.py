@@ -11,9 +11,10 @@ per worker and library load dominates small-campaign wall time.
 This module makes the frozen CSR arrays a *persistent artifact* built
 once and shared by every process on the node:
 
-* :func:`build_disk_index` saves a frozen index's own arrays —
+* :func:`build_disk_index` saves a frozen index's CSR arrays —
   ``codes``, ``offsets``, ``ids``, ``counts`` and, when the code span
-  fits the LUT budget, ``lut`` — as ``.npy`` files beside a
+  fits ``_LUT_MAX_SPAN``, the rank table's ``bitmap`` and ``rank`` —
+  as ``.npy`` files beside a
   ``manifest.json`` carrying the library fingerprint, ``k`` and
   per-array dtype/shape/sha256.  The artifact directory is published
   atomically (unique temp dir + rename), mirroring the
@@ -54,7 +55,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..telemetry.metrics import get_metrics
-from .kmer import KmerIndex
+from .kmer import KmerIndex, _rank_table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .databases import LibrarySuite, SequenceLibrary
@@ -68,12 +69,13 @@ __all__ = [
     "attach_suite_index",
 ]
 
-DISKINDEX_SCHEMA = "repro.msa.diskindex/2"
+DISKINDEX_SCHEMA = "repro.msa.diskindex/3"
 
 _MANIFEST = "manifest.json"
-#: Saved arrays, named as :meth:`KmerIndex.from_arrays` takes them; only
-#: ``lut`` is optional.
-_ARRAYS = ("codes", "offsets", "ids", "counts", "lut")
+#: Saved arrays, named as :meth:`KmerIndex.from_arrays` takes them: the
+#: CSR arrays always, the rank table's two arrays both or neither.
+_CSR_ARRAYS = ("codes", "offsets", "ids", "counts")
+_ARRAYS = (*_CSR_ARRAYS, "bitmap", "rank")
 
 
 class IndexCorruptError(RuntimeError):
@@ -114,11 +116,11 @@ def build_disk_index(
         "ids": index._ids,
         "counts": index.kmer_counts,
     }
-    if index._lut is not None:
-        # The dense code -> position table is saved too, so every
-        # attached worker shares one page-cache copy of the same
-        # direct-gather fast path the in-memory index builds privately.
-        arrays["lut"] = index._lut
+    bitmap, rank = _rank_table(index._codes, index.k)
+    if bitmap is not None:
+        # The rank table is saved too, so attached workers map it like
+        # the postings instead of deriving it per process.
+        arrays.update(bitmap=bitmap, rank=rank)
     tmp = out_dir.with_name(
         f"{out_dir.name}.build.{os.getpid()}.{threading.get_ident():x}"
     )
@@ -174,7 +176,7 @@ def open_disk_index(path: str | Path, verify: bool = False) -> KmerIndex:
     ):
         raise IndexCorruptError(f"{path} is not a {DISKINDEX_SCHEMA} artifact")
     specs = manifest.get("arrays") or {}
-    if not set(_ARRAYS[:-1]) <= set(specs) <= set(_ARRAYS):
+    if set(specs) not in (set(_CSR_ARRAYS), set(_ARRAYS)):
         raise IndexCorruptError(f"{path}: manifest arrays {sorted(specs)}")
     if verify:
         for spec in specs.values():

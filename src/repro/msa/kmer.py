@@ -8,8 +8,10 @@ that with fully vectorized k-mer extraction.
 
 The index stores its postings in a frozen CSR (compressed sparse row)
 layout — one sorted int64 array of distinct k-mer codes, an int64
-offsets array, and one flat int32 array of sequence ids — so a query is
-a single ``np.searchsorted`` over the code vocabulary followed by a
+offsets array, and one flat int32 array of sequence ids — plus, for
+k <= 5, a rank table (presence bitmap + per-word running count) that
+maps a code to its vocabulary row in three gathers, so a query is one
+vectorized lookup (``np.searchsorted`` for larger k) followed by a
 vectorized gather + ``np.bincount`` over the hit postings.  No Python
 loop touches a posting list on either the build or the query path.
 """
@@ -32,11 +34,29 @@ __all__ = ["kmer_codes", "KmerIndex"]
 DEFAULT_K: int = 5
 
 #: Largest code span (ALPHABET_SIZE**k) for which freeze() builds a
-#: dense code -> vocabulary-position table.  Binary search over a
-#: multi-MB vocabulary is all cache misses; a direct int32 gather is
-#: not.  8.4M codes = 33 MB, so k=5 (3.2M) qualifies and k>=6 falls
+#: rank table (see :func:`_rank_table`) mapping a code to its vocabulary
+#: position.  Binary search over a multi-MB vocabulary is all cache
+#: misses; three gathers into a table of 6 bits per code are not.  8.4M
+#: codes = 3.1 MB, so k=5 (3.2M codes, 1.2 MB) qualifies and k>=6 falls
 #: back to searchsorted.
 _LUT_MAX_SPAN: int = 1 << 23
+
+#: Bits per rank-table word: one ``uint16`` of the presence bitmap.
+_WORD_BITS: int = 16
+
+
+def _popcount_table(bits: int) -> np.ndarray:
+    """Set bits of every ``bits``-bit value.  Each doubling appends the
+    table so far plus one (the new top bit), so building it allocates
+    little more than the table itself."""
+    table = np.zeros(1, dtype=np.uint8)
+    for _ in range(bits):
+        table = np.concatenate([table, table + 1])
+    return table
+
+
+#: Set bits of every 16-bit value (64 KiB, shared by every index).
+_POPCOUNT16 = _popcount_table(_WORD_BITS)
 
 
 def kmer_codes(encoded: np.ndarray, k: int = DEFAULT_K) -> np.ndarray:
@@ -131,7 +151,9 @@ class KmerIndex:
         self._offsets: np.ndarray | None = None  # len(_codes) + 1
         self._ids: np.ndarray | None = None  # flat int32 postings
         self._counts_f64: np.ndarray | None = None  # distinct codes per seq
-        self._lut: np.ndarray | None = None  # code -> vocab position
+        # Rank table over the code span (None above _LUT_MAX_SPAN).
+        self._bitmap: np.ndarray | None = None  # uint16 presence words
+        self._rank: np.ndarray | None = None  # codes before each word
         #: Artifact directory, when the arrays are memory-mapped from
         #: disk; ``None`` for an index built in memory.
         self.path: Path | None = None
@@ -146,13 +168,14 @@ class KmerIndex:
         offsets: np.ndarray,
         ids: np.ndarray,
         counts: np.ndarray,
-        lut: np.ndarray | None = None,
+        bitmap: np.ndarray | None = None,
+        rank: np.ndarray | None = None,
     ) -> "KmerIndex":
-        """A frozen index over existing CSR arrays, used as given (a
-        memory-mapped array stays mapped)."""
+        """A frozen index over existing CSR and rank-table arrays, used
+        as given (a memory-mapped array stays mapped)."""
         index = cls(k)
         index._codes, index._offsets, index._ids = codes, offsets, ids
-        index._counts_f64, index._lut = counts, lut
+        index._counts_f64, index._bitmap, index._rank = counts, bitmap, rank
         index._n_sequences = int(counts.size)
         return index
 
@@ -178,23 +201,13 @@ class KmerIndex:
             self._pending, self.k
         )
         self._pending = []
-        self._build_lut()
-
-    def _build_lut(self) -> None:
-        """Dense code -> vocab-position table, when the span is small."""
-        assert self._codes is not None
-        span = int(ALPHABET_SIZE) ** self.k
-        if self._codes.size and span <= _LUT_MAX_SPAN:
-            lut = np.full(span, -1, dtype=np.int32)
-            lut[self._codes] = np.arange(self._codes.size, dtype=np.int32)
-            self._lut = lut
+        self._bitmap, self._rank = _rank_table(self._codes, self.k)
 
     # -- pickling ------------------------------------------------------------
     # A memory-mapped index pickles as its artifact path: the receiver
     # maps the same files (one more page-cache sharer), so no postings
-    # cross the pipe.  An in-memory index ships its frozen CSR
-    # arrays, once per worker process: the dense LUT (20**5 x 4 B =
-    # 12.8 MB at k=5) is derived state rebuilt on arrival, and pending
+    # cross the pipe.  An in-memory index ships its frozen arrays, rank
+    # table included (1.2 MB at k=5), once per worker process; pending
     # sequences are folded in by freezing before export.
     def __reduce_ex__(self, protocol):
         if self.path is not None:
@@ -205,13 +218,7 @@ class KmerIndex:
 
     def __getstate__(self) -> dict:
         self.freeze()
-        state = self.__dict__.copy()
-        state["_lut"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._build_lut()
+        return self.__dict__
 
     def _vocab_positions(
         self, codes: np.ndarray
@@ -220,8 +227,8 @@ class KmerIndex:
 
         Returns ``(positions, matched)`` where ``matched`` is a boolean
         mask over ``codes`` and ``positions`` holds the vocabulary row
-        of each matched code.  Uses the dense lookup table when the code
-        span is small enough, a binary search otherwise.
+        of each matched code.  Uses the rank table when the code span is
+        small enough, a binary search otherwise.
         """
         assert self._codes is not None
         if self._codes.size == 0:
@@ -233,15 +240,20 @@ class KmerIndex:
                 np.empty(0, dtype=np.int64),
                 np.zeros(codes.size, dtype=bool),
             )
-        if self._lut is not None:
-            valid = (codes >= 0) & (codes < self._lut.size)
-            if valid.all():
-                pos = self._lut[codes]
-            else:
-                pos = np.full(codes.size, -1, dtype=np.int32)
-                pos[valid] = self._lut[codes[valid]]
-            matched = pos >= 0
-            return pos[matched], matched
+        if self._bitmap is not None:
+            assert self._rank is not None
+            # Codes past the span but inside the last word find a zero
+            # bit, so only codes outside the bitmap need masking.
+            valid = (codes >= 0) & (codes < self._bitmap.size * _WORD_BITS)
+            if not valid.all():
+                codes = np.where(valid, codes, 0)
+            word_of = codes // _WORD_BITS
+            bit = (codes % _WORD_BITS).astype(np.uint16)
+            words = self._bitmap[word_of]
+            matched = ((words >> bit) & 1).astype(bool) & valid
+            # Position = codes in earlier words + set bits below ``bit``.
+            below = words[matched] & ((np.uint16(1) << bit[matched]) - 1)
+            return self._rank[word_of[matched]] + _POPCOUNT16[below], matched
         pos = np.minimum(
             np.searchsorted(self._codes, codes), self._codes.size - 1
         )
@@ -285,7 +297,14 @@ class KmerIndex:
         """Bytes of the frozen arrays — for a mapped index, what every
         attached process shares one page-cache copy of."""
         self.freeze()
-        arrays = (self._codes, self._offsets, self._ids, self._counts_f64, self._lut)
+        arrays = (
+            self._codes,
+            self._offsets,
+            self._ids,
+            self._counts_f64,
+            self._bitmap,
+            self._rank,
+        )
         return sum(a.nbytes for a in arrays if a is not None)
 
     def query_codes(self, encoded: np.ndarray) -> np.ndarray:
@@ -379,6 +398,33 @@ def _csr_postings(
     offsets = np.append(starts, keys.size).astype(np.int64)
     counts = np.bincount(ids, minlength=n_seq).astype(np.float64)
     return vocab[starts], offsets, ids, counts
+
+
+def _rank_table(
+    codes: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray] | tuple[None, None]:
+    """``(bitmap, rank)`` mapping a code to its position in ``codes``.
+
+    ``codes`` is a sorted distinct vocabulary over ``ALPHABET_SIZE**k``.
+    Bit ``c % 16`` of ``bitmap[c // 16]`` is set when ``c`` is in the
+    vocabulary, and ``rank[w]`` counts the codes below word ``w``, so a
+    present code sits at ``rank[w]`` plus the set bits below its own.
+    ``(None, None)`` for an empty vocabulary or a span above
+    ``_LUT_MAX_SPAN``.
+    """
+    span = int(ALPHABET_SIZE) ** k
+    if not codes.size or span > _LUT_MAX_SPAN:
+        return None, None
+    n_words = -(-span // _WORD_BITS)
+    word_of = codes // _WORD_BITS
+    bits = np.left_shift(1, codes % _WORD_BITS).astype(np.uint16)
+    # Codes are sorted, so each word's codes are one run: OR the run.
+    starts = np.flatnonzero(_first_of_runs(word_of))
+    bitmap = np.zeros(n_words, dtype=np.uint16)
+    bitmap[word_of[starts]] = np.bitwise_or.reduceat(bits, starts)
+    rank = np.zeros(n_words, dtype=np.int32)
+    np.cumsum(_POPCOUNT16[bitmap[:-1]], dtype=np.int32, out=rank[1:])
+    return bitmap, rank
 
 
 def _first_of_runs(sorted_values: np.ndarray) -> np.ndarray:

@@ -28,6 +28,7 @@ from repro.dataflow import (
     decode_payload,
     encode_payload,
 )
+from repro.dataflow.process import openblas_threads
 from repro.telemetry.metrics import MetricsRegistry, get_metrics, use_metrics
 from repro.telemetry.tracer import Tracer, use_tracer
 
@@ -39,6 +40,10 @@ def _double(payload):
 
 def _echo(payload):
     return payload
+
+
+def _blas_threads(_payload):
+    return openblas_threads()
 
 
 def _boom(payload):
@@ -249,6 +254,18 @@ class TestBasics:
         )
         values = {v for (v, _pid) in res.results.values()}
         assert values == {"sentinel-42"}
+
+    def test_workers_run_blas_on_one_thread(self):
+        # A forked worker inherits the parent's machine-sized OpenBLAS
+        # pools; it must shrink every one of them to a single thread.
+        if not openblas_threads():
+            pytest.skip("no OpenBLAS library loaded")
+        res = ProcessExecutor(n_workers=2).map(
+            _blas_threads, [(f"k{i}", i, 1.0) for i in range(4)]
+        )
+        assert res.n_failed == 0
+        for counts in res.results.values():
+            assert counts and set(counts) == {1}
 
 
 class TestFileBackedArrays:

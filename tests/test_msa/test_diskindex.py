@@ -79,7 +79,7 @@ class TestBitIdentity:
     def test_mapped_arrays_are_the_memory_arrays(self, rng, tmp_path):
         seqs = [random_sequence(90, rng) for _ in range(5)]
         mem, disk = _build_disk(tmp_path, seqs)
-        for name in ("_codes", "_offsets", "_ids", "_counts_f64", "_lut"):
+        for name in ("_codes", "_offsets", "_ids", "_counts_f64", "_bitmap", "_rank"):
             mapped = getattr(disk, name)
             assert isinstance(mapped.base, np.memmap)
             assert np.array_equal(mapped, getattr(mem, name))
@@ -101,12 +101,13 @@ class TestBitIdentity:
         assert disk.count_hits_many([q]).shape == (1, 0)
 
     def test_k6_searchsorted_fallback(self, rng, tmp_path):
-        # k=6 span exceeds _LUT_MAX_SPAN: no LUT is saved, and queries
-        # take the binary-search path.
+        # k=6 span exceeds _LUT_MAX_SPAN: no rank table is saved, and
+        # queries take the binary-search path.
         seqs = [random_sequence(100, rng) for _ in range(6)]
         mem, disk = _build_disk(tmp_path, seqs, k=6)
-        assert disk._lut is None
-        assert not (disk.path / "lut.npy").exists()
+        assert disk._bitmap is None and disk._rank is None
+        assert not (disk.path / "bitmap.npy").exists()
+        assert not (disk.path / "rank.npy").exists()
         queries = [mutate_sequence(seqs[i], rng, 0.3) for i in range(6)]
         assert (disk.count_hits_many(queries) == mem.count_hits_many(queries)).all()
 
@@ -120,7 +121,7 @@ class TestBitIdentity:
         # The acceptance property: for random libraries, the mapped
         # index reproduces the in-memory CSR results bit-for-bit on both
         # query entry points and both vocabulary lookups (k=3 has a
-        # LUT, k=6 binary-searches).
+        # rank table, k=6 binary-searches).
         rng = np.random.default_rng(seed)
         tmp = tmp_path_factory.mktemp("prop")
         seqs = [
@@ -189,7 +190,7 @@ class TestArtifactLifecycle:
         manifest = json.loads((disk.path / "manifest.json").read_text())
         assert manifest["schema"] == DISKINDEX_SCHEMA
         assert sorted(manifest["arrays"]) == sorted(
-            ["codes", "offsets", "ids", "counts", "lut"]
+            ["codes", "offsets", "ids", "counts", "bitmap", "rank"]
         )
         files = {p.name for p in disk.path.iterdir()}
         assert files == {"manifest.json"} | {
@@ -312,6 +313,44 @@ class TestEnsureDiskIndex:
             assert registry.counter_values()["msa.index.corrupt"] == 1.0
         assert (tmp_path / f"{slot.name}.corrupt0").is_dir()
         assert not list(disk.path.glob("shard*"))
+        queries = [e.encoded for e in lib.entries]
+        assert (
+            disk.count_hits_many(queries) == lib.index.count_hits_many(queries)
+        ).all()
+
+    def test_dense_lut_schema_artifact_is_quarantined_and_rebuilt(
+        self, rng, tmp_path
+    ):
+        # A schema-2 artifact carries the CSR arrays plus a dense
+        # ``lut.npy``; it is quarantined, and the rebuild saves the rank
+        # table instead.
+        lib = _library(rng, "llib")
+        slot = ensure_disk_index(lib, tmp_path).path
+        manifest = json.loads((slot / "manifest.json").read_text())
+        for name in ("bitmap", "rank"):
+            (slot / f"{name}.npy").unlink()
+            del manifest["arrays"][name]
+        lut = np.full(ALPHABET_SIZE**5, -1, dtype=np.int32)
+        lut[np.load(slot / "codes.npy")] = np.arange(
+            manifest["arrays"]["codes"]["shape"][0], dtype=np.int32
+        )
+        np.save(slot / "lut.npy", lut)
+        manifest["arrays"]["lut"] = {
+            "file": "lut.npy",
+            "dtype": lut.dtype.str,
+            "shape": list(lut.shape),
+            "sha256": "0" * 64,
+        }
+        manifest["schema"] = "repro.msa.diskindex/2"
+        (slot / "manifest.json").write_text(json.dumps(manifest))
+        with use_metrics(MetricsRegistry()) as registry:
+            disk = ensure_disk_index(lib, tmp_path)
+            assert registry.counter_values()["msa.index.corrupt"] == 1.0
+        assert (tmp_path / f"{slot.name}.corrupt0" / "lut.npy").exists()
+        rebuilt = json.loads((disk.path / "manifest.json").read_text())
+        assert rebuilt["schema"] == DISKINDEX_SCHEMA == "repro.msa.diskindex/3"
+        assert not (disk.path / "lut.npy").exists()
+        assert isinstance(disk._bitmap.base, np.memmap)
         queries = [e.encoded for e in lib.entries]
         assert (
             disk.count_hits_many(queries) == lib.index.count_hits_many(queries)

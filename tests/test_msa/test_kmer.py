@@ -110,6 +110,40 @@ class TestKmerIndex:
         junk = np.array([-7, 10**12, 0], dtype=np.int64)
         assert idx.count_hits_codes(junk).shape == (1,)
 
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_rank_table_answers_foreign_codes_like_searchsorted(self, rng, k):
+        # Negative codes, codes past the span and codes in the last
+        # bitmap word's slack (20**k is not a multiple of 16 for k < 4)
+        # match nothing, exactly as on the binary-search path.
+        idx = KmerIndex(k=k)
+        for i in range(4):
+            idx.add(i, random_sequence(60, rng))
+        idx.freeze()
+        span = 20**k
+        codes = np.concatenate(
+            [
+                np.array([-(2**40), -17, -1, span, span + 11, 2**62]),
+                np.arange(max(0, span - 40), span + 40),
+                rng.integers(0, span, size=200),
+            ]
+        ).astype(np.int64)
+        fallback = KmerIndex.from_arrays(
+            k, idx._codes, idx._offsets, idx._ids, idx._counts_f64
+        )
+        pos, matched = idx._vocab_positions(codes)
+        expected_pos, expected_matched = fallback._vocab_positions(codes)
+        assert np.array_equal(matched, expected_matched)
+        assert np.array_equal(pos, expected_pos)
+
+    def test_rank_table_fits_its_budget_at_k5(self, rng):
+        seqs = [random_sequence(400, rng) for _ in range(200)]
+        idx = self._build(seqs)
+        csr = sum(
+            a.nbytes for a in (idx._codes, idx._offsets, idx._ids, idx._counts_f64)
+        )
+        assert idx._bitmap is not None
+        assert idx.nbytes <= csr + 1.5 * 2**20
+
     def test_empty_index_vocab_positions(self, rng):
         # Regression: the searchsorted fallback used to clamp positions
         # to ``size - 1 == -1`` on an empty vocabulary and fault on the
@@ -139,11 +173,11 @@ class TestKmerIndex:
         query = mutate_sequence(seqs[2], rng, 0.2)
         assert (clone.count_hits(query) == idx.count_hits(query)).all()
         assert (clone.containment(query) == idx.containment(query)).all()
-        # The dense LUT is derived state: dropped from the pickle,
-        # rebuilt on arrival.
-        assert (clone._lut is None) == (idx._lut is None)
-        if idx._lut is not None:
-            assert (clone._lut == idx._lut).all()
+        # The rank table travels in the pickle.
+        for name in ("_bitmap", "_rank"):
+            original, copied = getattr(idx, name), getattr(clone, name)
+            assert copied.dtype == original.dtype
+            assert np.array_equal(copied, original)
 
     def test_pickle_freezes_pending_sequences(self, rng):
         import pickle

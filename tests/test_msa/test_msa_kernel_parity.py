@@ -26,7 +26,7 @@ from repro.msa import KmerIndex, build_disk_index, global_align_many, search_sui
 from repro.msa import align as align_mod
 from repro.msa import search as search_mod
 from repro.msa.align import BATCH_TARGETS
-from repro.sequences import mutate_sequence, random_sequence
+from repro.sequences import ALPHABET_SIZE, mutate_sequence, random_sequence
 
 from .. import reference_kernels as oracle
 
@@ -166,7 +166,7 @@ def _build(index, seqs):
 
 
 class TestIndexBuild:
-    # k=1 and 3 and 5 take the dense LUT, k=6 the searchsorted fallback.
+    # k=1 and 3 and 5 take the rank table, k=6 the searchsorted fallback.
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -185,9 +185,15 @@ class TestIndexBuild:
         assert new.n_sequences == ref.n_sequences == len(seqs)
         assert new.kmer_counts.dtype == ref.kmer_counts.dtype == np.float64
         assert np.array_equal(new.kmer_counts, ref.kmer_counts)
-        assert (new._lut is None) == (ref._lut is None)
+        # The rank table answers every code of the span as the
+        # oracle's dense code -> position table does; k=6 has neither.
+        assert (new._bitmap is None) == (new._rank is None)
+        assert (new._bitmap is None) == (ref._lut is None)
         if ref._lut is not None:
-            assert np.array_equal(new._lut, ref._lut)
+            span = np.arange(ALPHABET_SIZE**k, dtype=np.int64)
+            pos, matched = new._vocab_positions(span)
+            assert np.array_equal(matched, ref._lut >= 0)
+            assert np.array_equal(pos, ref._lut[matched])
 
     def test_keys_that_would_overflow_int64_are_refused(self):
         # code * n_sequences + id keys at k=14 (20**14 = 1.6e18 codes)
