@@ -44,13 +44,13 @@ from repro.cluster import (
 from repro.core import streaming
 from repro.dataflow import TaskSpec, make_workers, simulate_dataflow
 from repro.dataflow.bubbles import bubble_seconds
+from repro.fold.model import MODEL_NAMES
 from repro.sequences import rng_for
 from conftest import RESULTS_DIR, save_result
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 N_TARGETS = 40 if SMOKE else 600
 WORKER_COUNTS = (2, 6) if SMOKE else (2, 8, 48, 192)
-MODEL_NAMES = [f"model_{i}" for i in range(1, 6)]
 DATASET_FRACTION = 0.2  # the reduced dataset the paper searched
 
 
@@ -59,7 +59,6 @@ class _Target(NamedTuple):
 
     record_id: str
     length: int
-    species: str = "fig2"
 
 
 def _campaign():
@@ -84,9 +83,7 @@ def _campaign():
         durations[f"relax/{t.record_id}"] = relax_task_seconds(
             8 * t.length, 1, device="gpu"
         )
-    specs = streaming.build_campaign_specs(
-        targets, MODEL_NAMES, lambda r: 0.0
-    )
+    specs = streaming.build_campaign_specs(targets)
     return specs, durations
 
 

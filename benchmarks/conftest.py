@@ -79,11 +79,9 @@ def table1_runs(table1_workload, bench_factory):
         ("casp14", 91),
     ):
         pipeline = ProteomePipeline(
-            inference_nodes=nodes, use_highmem_routing=False
+            preset_name=preset, inference_nodes=nodes, use_highmem_routing=False
         )
-        runs[preset] = pipeline.run_inference_stage(
-            features, bench_factory, preset_name=preset
-        )
+        runs[preset] = pipeline.run_inference_stage(features, bench_factory)
     return runs
 
 

@@ -124,10 +124,11 @@ def zero_rebuild_campaign(index_dir: Path, workdir: Path) -> None:
     )
 
 
-def bench_artifact() -> None:
+def bench_artifact(basetemp: Path) -> None:
     bench_dir = Path("benchmarks")
     run = subprocess.run(
-        [sys.executable, "-m", "pytest", "bench_diskindex.py", "-q"],
+        [sys.executable, "-m", "pytest", "bench_diskindex.py", "-q",
+         f"--basetemp={basetemp.resolve()}"],
         cwd=bench_dir,
         capture_output=True, text=True,
         env={
@@ -153,14 +154,15 @@ def bench_artifact() -> None:
 
 
 def main() -> int:
-    workdir = Path(tempfile.mkdtemp(prefix="diskindex-smoke-"))
-    index_dir = workdir / "index"
-    print("[1/3] repro index build artifacts")
-    artifact_build(index_dir)
-    print("[2/3] process-backend campaign with --index-dir: zero rebuilds")
-    zero_rebuild_campaign(index_dir, workdir)
-    print("[3/3] BENCH_diskindex.json smoke validation")
-    bench_artifact()
+    with tempfile.TemporaryDirectory(prefix="diskindex-smoke-") as tmp:
+        workdir = Path(tmp)
+        index_dir = workdir / "index"
+        print("[1/3] repro index build artifacts")
+        artifact_build(index_dir)
+        print("[2/3] process-backend campaign with --index-dir: zero rebuilds")
+        zero_rebuild_campaign(index_dir, workdir)
+        print("[3/3] BENCH_diskindex.json smoke validation")
+        bench_artifact(workdir / "pytest")
     print("diskindex smoke ok")
     return 0
 

@@ -244,15 +244,21 @@ def main(argv: list[str] | None = None) -> int:
         help="state directory parent (default: a fresh temp dir)",
     )
     args = parser.parse_args(argv)
+    if args.workdir is not None:  # the caller's directory is kept
+        return smoke(args.workdir, args.crash_after)
+    with tempfile.TemporaryDirectory(prefix="kill-resume-") as workdir:
+        return smoke(Path(workdir), args.crash_after)
 
-    workdir = args.workdir or Path(tempfile.mkdtemp(prefix="kill-resume-"))
+
+def smoke(workdir: Path, crash_after: int) -> int:
+    """Kill, validate, resume and compare, all under ``workdir``."""
     state_dir = workdir / "campaign-state"
 
-    print(f"[1/3] campaign with SIGKILL after {args.crash_after} inference tasks")
+    print(f"[1/3] campaign with SIGKILL after {crash_after} inference tasks")
     crashed = run(
         CAMPAIGN
         + ["--state-dir", str(state_dir),
-           "--crash-after-inference-tasks", str(args.crash_after)]
+           "--crash-after-inference-tasks", str(crash_after)]
     )
     check(
         crashed.returncode in (-9, 137),
@@ -262,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     print("[2/3] validating surviving state")
     ok_counts = validate_state_dir(state_dir)
     check(
-        ok_counts.get("inference", 0) >= args.crash_after,
+        ok_counts.get("inference", 0) >= crash_after,
         f"crash-trigger records were durable before death: {ok_counts}",
     )
 
@@ -294,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     ):
         kill_resume_scenario(
             workdir,
-            args.crash_after,
+            crash_after,
             kill_schedule,
             resume_schedule,
             reference_dir,

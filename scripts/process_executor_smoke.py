@@ -137,9 +137,11 @@ def worker_blas_threads() -> None:
 
 
 def cli_campaign_composition() -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="process-executor-"))
-    state_dir = workdir / "campaign-state"
+    with tempfile.TemporaryDirectory(prefix="process-executor-") as workdir:
+        _cli_campaign_resume(Path(workdir) / "campaign-state")
 
+
+def _cli_campaign_resume(state_dir: Path) -> None:
     fresh = subprocess.run(
         CAMPAIGN + ["--state-dir", str(state_dir)],
         capture_output=True, text=True,
@@ -190,12 +192,12 @@ def _mini_campaign(pipeline_cls, universe, proteome, **kwargs):
     """Run a 2-worker campaign on fresh lazy state; return the result,
     its exported counters and the suite's library count."""
     suite = build_suite(universe, ["P_mercurii"], seed=5, scale=0.002)
-    run_dir = Path(tempfile.mkdtemp(prefix="single-flight-"))
-    result = pipeline_cls(
-        feature_nodes=2, inference_nodes=1, relax_nodes=1,
-        compute_workers=2, telemetry=TelemetrySession(run_dir), **kwargs,
-    ).run(proteome, suite, NativeFactory(universe))
-    metrics = json.loads((run_dir / "metrics.json").read_text())
+    with tempfile.TemporaryDirectory(prefix="single-flight-") as run_dir:
+        result = pipeline_cls(
+            feature_nodes=2, inference_nodes=1, relax_nodes=1,
+            compute_workers=2, telemetry=TelemetrySession(run_dir), **kwargs,
+        ).run(proteome, suite, NativeFactory(universe))
+        metrics = json.loads((Path(run_dir) / "metrics.json").read_text())
     return result, metrics["counters"], len(suite.libraries)
 
 

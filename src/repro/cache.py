@@ -13,8 +13,9 @@ that recomputation entirely: the key is a hash of
 
 The cache is two-level: a process-local dict, plus an optional on-disk
 directory of pickled bundles so features survive across sessions (the
-benchmark suite points it at a shared directory).  Both executors may
-hit one cache concurrently; all bookkeeping is lock-protected.
+benchmark suite points it at a shared directory).  Threads may hit one
+cache concurrently; all bookkeeping is lock-protected.  It attaches
+through :func:`~repro.msa.features.generate_features`'s ``cache=``.
 """
 
 from __future__ import annotations
@@ -70,12 +71,6 @@ class FeatureCache:
         self._hits_counter = self._registry.counter("feature.cache.hits")
         self._misses_counter = self._registry.counter("feature.cache.misses")
         self._corrupt_counter = self._registry.counter("feature.cache.corrupt")
-
-    def __reduce__(self):
-        # A worker process rehydrates a disk-backed cache by path — the
-        # pickle must not drag the in-memory bundle dict (or a lock)
-        # across; disk entries are the shared level between processes.
-        return (FeatureCache, (self._dir,))
 
     # -- Keys ----------------------------------------------------------------
     def key_for(
@@ -145,10 +140,7 @@ class FeatureCache:
         # Every lookup lands on the active metrics registry — the one
         # count stage results and exports read.  All counters were
         # created at bind time, so an all-miss (or all-hit) run still
-        # exports the other one as an explicit zero — in this process
-        # only: a worker process ships counter deltas, which never carry
-        # a zero, so after an all-miss process run the parent's registry
-        # has no ``feature.cache.hits`` key at all.
+        # exports the other one as an explicit zero.
         if get_metrics() is not self._registry:
             self._bind_counters()
         if bundle is None:

@@ -27,8 +27,12 @@ import argparse
 import csv
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .runstate import RunState
 
 __all__ = ["main", "build_parser"]
 
@@ -201,6 +205,32 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
+    if args.resume and args.state_dir is None:
+        print("repro campaign: --resume requires --state-dir", file=sys.stderr)
+        return 2
+    if args.state_dir is None:
+        return _run_campaign(args, None)
+    from .runstate import RunState
+
+    try:
+        state = RunState(args.state_dir)
+    except ValueError as exc:  # another schema, or a corrupt ledger
+        print(f"repro campaign: {exc}", file=sys.stderr)
+        return 2
+    with state:
+        if state.resumed and not args.resume:
+            print(
+                f"repro campaign: {args.state_dir} already holds a campaign "
+                f"ledger ({len(state.ledger)} records); pass --resume to "
+                "continue it, or point --state-dir at a fresh directory",
+                file=sys.stderr,
+            )
+            return 2
+        return _run_campaign(args, state)
+
+
+def _run_campaign(args: argparse.Namespace, state: "RunState | None") -> int:
+    """Run and report one campaign; the caller owns (and closes) ``state``."""
     from .core import ProteomePipeline, summarize_proteome
     from .fold import NativeFactory
     from .msa import build_suite
@@ -219,26 +249,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
         session = TelemetrySession(args.telemetry_dir)
         session.annotate(seed=args.seed, species=args.species)
-    state = None
-    if args.state_dir is not None:
-        from .runstate import RunState
-
-        try:
-            state = RunState(args.state_dir)
-        except ValueError as exc:  # another schema, or a corrupt ledger
-            print(f"repro campaign: {exc}", file=sys.stderr)
-            return 2
-        if state.resumed and not args.resume:
-            print(
-                f"repro campaign: {args.state_dir} already holds a campaign "
-                f"ledger ({len(state.ledger)} records); pass --resume to "
-                "continue it, or point --state-dir at a fresh directory",
-                file=sys.stderr,
-            )
-            return 2
-    elif args.resume:
-        print("repro campaign: --resume requires --state-dir", file=sys.stderr)
-        return 2
     observer = None
     if args.crash_after_inference_tasks is not None:
         import os
@@ -324,7 +334,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             f"state    : {len(state.ledger)} ledger record(s) -> "
             f"{args.state_dir} (resume with --resume)"
         )
-        state.close()
     if session is not None:
         print(f"telemetry: {args.telemetry_dir}/ "
               f"(view with `repro report {args.telemetry_dir}`)")
@@ -365,9 +374,9 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     for preset in args.presets:
         nodes = 91 if preset == "casp14" else 32
         pipeline = ProteomePipeline(
-            inference_nodes=nodes, use_highmem_routing=False
+            preset_name=preset, inference_nodes=nodes, use_highmem_routing=False
         )
-        run = pipeline.run_inference_stage(features, factory, preset_name=preset)
+        run = pipeline.run_inference_stage(features, factory)
         row = benchmark_row(preset, run.top_models, run.simulation.walltime_minutes)
         print(
             f"{row.preset:>11} {row.mean_plddt:7.1f} {row.mean_ptms:7.3f} "

@@ -48,17 +48,14 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable
 
-from ..cache import FeatureCache
 from ..constants import REDUCED_DATASET_BYTES
 from ..dataflow.bubbles import bubble_seconds as compute_bubble_seconds
 from ..dataflow.engine import ThreadedExecutor, auto_worker_count
-from ..dataflow.faults import RetryPolicy
 from ..dataflow.process import ProcessExecutor
 from ..dataflow.scheduler import TaskRecord, WorkerInfo
 from ..dataflow.simulated import SimulationResult
 from ..fold.generator import NativeFactory
-from ..fold.model import MODEL_NAMES
-from ..iosim.replication import ReplicationPlan, paper_plan
+from ..iosim.replication import paper_plan
 from ..msa.databases import LibrarySuite
 from ..msa.diskindex import attach_suite_index
 from ..msa.features import FeatureBundle
@@ -149,17 +146,17 @@ class PipelineResult:
 class ProteomePipeline:
     """Orchestrates the three decoupled workflows.
 
-    Parameters mirror the paper's deployment: library replication plan,
-    preset choice, node counts per stage, and the cutoff separating
-    standard from high-memory inference workers.
+    Parameters mirror the paper's deployment (§3, §3.3): preset choice,
+    node counts per stage and high-memory routing.  The library
+    replication plan is the reduced dataset's paper layout and the
+    inference job's 2 TB node count is
+    :data:`stagework.INFERENCE_HIGHMEM_NODES`.
     """
 
     preset_name: str = "genome"
     feature_nodes: int = 24
     inference_nodes: int = 32
-    inference_highmem_nodes: int = 2
     relax_nodes: int = 8
-    replication_plan: ReplicationPlan | None = None
     #: Route memory-hungry tasks to 2 TB nodes.  The paper did this for
     #: its proteome runs (§3.3); the Table 1 casp14 benchmark did *not*,
     #: which is why its eight longest sequences were lost to OOM.
@@ -178,7 +175,7 @@ class ProteomePipeline:
     #: Measured on one 2-core box, 40 mixed-length targets, barrier
     #: schedule: threaded 1 worker 7-9 targets/s, threaded 2 workers
     #: 4.5-4.7, process 2 workers 9-10 (DESIGN §11 has the table).
-    #: Stage decomposition, retry/highmem semantics, the durable-state
+    #: Stage decomposition, highmem routing, the durable-state
     #: callback and the task observer are identical on both: callbacks
     #: always run in this (the coordinating) process.
     executor_backend: str = "threaded"
@@ -202,8 +199,6 @@ class ProteomePipeline:
     #: rebuilding a CSR index per process (``msa.index.rebuild`` stays
     #: zero when the artifact was prebuilt).
     index_dir: str | Path | None = None
-    #: Optional content-addressed cache for the feature stage.
-    feature_cache: FeatureCache | None = None
     #: Optional telemetry session.  When set, :meth:`run` activates its
     #: tracer/metrics for the whole campaign and (if the session has a
     #: ``run_dir``) exports ``manifest.json`` + ``trace.json`` +
@@ -302,8 +297,6 @@ class ProteomePipeline:
         *,
         suite: LibrarySuite | None = None,
         factory: NativeFactory | None = None,
-        preset_name: str | None = None,
-        retry_policy: RetryPolicy | None = None,
     ) -> Campaign:
         """Run the stages named by ``waves`` over ``records``' chains.
 
@@ -314,22 +307,18 @@ class ProteomePipeline:
         counter delta cover exactly that.  The map's workers are all
         alike — every worker runs every stage of the wave, a chain stays
         on the worker that holds its inputs unless a peer would
-        otherwise idle, and the last worker plays the 2 TB node for
-        memory-routed stages and for ``retry_policy`` escalations
-        (:meth:`run_inference_stage`).
+        otherwise idle, and with highmem routing on the last worker
+        plays the 2 TB node for memory-routed stages.
         """
-        preset = get_preset(preset_name or self.preset_name)
+        preset = get_preset(self.preset_name)
         tracer = get_tracer()
         metrics = get_metrics()
         campaign = Campaign(
             pipeline=self,
-            specs=streaming.build_campaign_specs(
-                records, list(MODEL_NAMES), lambda r: kingdom_bias_for(r.species)
-            ),
+            specs=streaming.build_campaign_specs(records),
             preset=preset,
-            plan=self.replication_plan or paper_plan(REDUCED_DATASET_BYTES),
+            plan=paper_plan(REDUCED_DATASET_BYTES),
             suite=suite,
-            retry_policy=retry_policy,
             resolved=dict(seeded or {}),
         )
         resolved = campaign.resolved
@@ -339,16 +328,6 @@ class ProteomePipeline:
             # share one page-cache copy of the postings and never
             # rebuild a CSR index per process.
             attach_suite_index(suite, self.index_dir)
-        # Escalation needs a highmem slot in the executor whenever the
-        # simulation provisions highmem nodes or routing is on; backoff
-        # is an operational (simulated-time) concern, so the science
-        # executor retries immediately.
-        highmem_worker = self.use_highmem_routing or (
-            retry_policy is not None and self.inference_highmem_nodes > 0
-        )
-        exec_policy = None
-        if retry_policy is not None:
-            exec_policy = replace(retry_policy, backoff_seconds=0.0)
         on_complete = self._on_complete()
 
         # Each stage's replay starts its clock at 0, but the jobs ran one
@@ -386,12 +365,12 @@ class ProteomePipeline:
                 execution = self._executor(
                     len(pending),
                     highmem_workers=int(
-                        highmem_worker and any(row.memory_routed for row in rows)
+                        self.use_highmem_routing
+                        and any(row.memory_routed for row in rows)
                     ),
                 ).map(
                     stagework.streaming_task,
                     pending,
-                    retry_policy=exec_policy,
                     pass_spec=True,
                     stage_of=streaming.stage_of,
                     stage_spans=stage_spans or None,
@@ -400,9 +379,7 @@ class ProteomePipeline:
                     preresolved=resolved,
                     on_complete=on_complete,
                     initializer=stagework.init_stages,
-                    initargs=(
-                        wave, suite, self.feature_cache, factory, preset.name
-                    ),
+                    initargs=(wave, suite, factory, preset.name),
                 )
                 resolved.update(execution.results)
                 for row in rows:
@@ -436,47 +413,24 @@ class ProteomePipeline:
                     tracer.finish_span(span)
         return campaign
 
-    def run_feature_stage(
-        self, proteome: Proteome, suite: LibrarySuite
-    ) -> FeatureStageResult:
-        """MSA search for every target, on its own: a one-wave campaign.
-
-        One task per target — the same decomposition the simulated
-        Andes workflow uses — consulting :attr:`feature_cache` when one
-        is configured.
-        """
-        campaign = self._run_waves(
-            (("feature",),), list(proteome), suite=suite
-        )
-        return campaign.stages["feature"]
-
     def run_inference_stage(
-        self,
-        features: dict[str, FeatureBundle],
-        factory: NativeFactory,
-        preset_name: str | None = None,
-        retry_policy: RetryPolicy | None = None,
+        self, features: dict[str, FeatureBundle], factory: NativeFactory
     ) -> InferenceStageResult:
-        """Five models per target, on its own: a one-wave campaign whose
-        feature keys are seeded with ``features``.
+        """Five models per target under :attr:`preset_name`, on its own:
+        a one-wave campaign whose feature keys are seeded with
+        ``features`` (the Table 1 preset benchmark).
 
         Tasks are (model, target) pairs — the paper's decomposition for
         load balance (§3.3).  With highmem routing, tasks that exceed
         standard worker memory only dispatch to high-memory workers;
-        tasks that exceed even those fail for real.  A ``retry_policy``
-        additionally re-runs OOM-failed attempts on high-memory workers
-        (provisioned even when routing is off, since escalation needs
-        somewhere to escalate to); backoff is an operational
-        (simulated-time) concern, so the science executor retries
-        immediately.
+        tasks that exceed even those fail for real, as do over-budget
+        tasks with routing off.
         """
         campaign = self._run_waves(
             (("inference",),),
             [bundle.record for bundle in features.values()],
             with_stage_prefix("feature", features),
             factory=factory,
-            preset_name=preset_name,
-            retry_policy=retry_policy,
         )
         return campaign.stages["inference"]
 

@@ -20,10 +20,9 @@ stash that stage's heavy shared state in the process-local :data:`_CTX`.
 The threaded executor runs it once, the process executor once per
 worker; under ``spawn`` its initargs travel by pickle — which is why
 an in-memory :class:`~repro.msa.kmer.KmerIndex` ships its frozen CSR
-arrays but not its lookup table, one memory-mapped from a pipeline
-``index_dir`` re-attaches by artifact path, and
-:class:`~repro.cache.FeatureCache` reduces to its directory path.
-Nothing lazy is pre-built: k-mer indexes, natives and family folds are built by the
+arrays but not its lookup table, and one memory-mapped from a pipeline
+``index_dir`` re-attaches by artifact path.  Nothing lazy is
+pre-built: k-mer indexes, natives and family folds are built by the
 first task that needs them, once per process — threads that miss the
 same key wait for one build (:mod:`repro.singleflight`) — so the cost
 shows in that task's counter delta (``msa.index.rebuild``).
@@ -53,7 +52,7 @@ from ..cluster.costmodel import (
 )
 from ..cluster.machine import ANDES, SUMMIT, MachineSpec
 from ..dataflow.engine import ExecutionResult
-from ..dataflow.faults import RetryPolicy, is_oom_error
+from ..dataflow.faults import is_oom_error
 from ..dataflow.scheduler import TaskRecord, TaskSpec, WorkerInfo, make_workers
 from ..dataflow.simulated import SimulationResult, simulate_dataflow
 from ..fold.memory import (
@@ -93,6 +92,9 @@ __all__ = [
 #: Process-local stage context, filled by :func:`init_stages`.  One
 #: campaign runs at a time per process, so a single dict is unambiguous.
 _CTX: dict[str, Any] = {}
+
+#: 2 TB nodes in the inference job when highmem routing is on (§3.3).
+INFERENCE_HIGHMEM_NODES = 2
 
 
 # -- Task keys ---------------------------------------------------------------
@@ -179,16 +181,6 @@ class FeatureStageResult(StageResult):
     plan: ReplicationPlan
     stage: ClassVar[str] = "feature"
 
-    @property
-    def cache_hits(self) -> int:
-        """Feature-cache hits this stage (thin view over the metrics)."""
-        return self._count("feature.cache.hits")
-
-    @property
-    def cache_misses(self) -> int:
-        """Feature-cache misses this stage (thin view over the metrics)."""
-        return self._count("feature.cache.misses")
-
 
 @dataclass
 class InferenceStageResult(StageResult):
@@ -202,10 +194,6 @@ class InferenceStageResult(StageResult):
 
     def mean_top_plddt(self) -> float:
         vals = [p.mean_plddt for p in self.top_models.values()]
-        return float(np.mean(vals)) if vals else 0.0
-
-    def mean_top_ptms(self) -> float:
-        vals = [p.ptms for p in self.top_models.values()]
         return float(np.mean(vals)) if vals else 0.0
 
     def mean_recycles(self) -> float:
@@ -235,11 +223,6 @@ class RelaxStageResult(StageResult):
         """Neighbour-list rebuilds this stage (thin view over metrics)."""
         return self._count("relax.verlet.rebuilds")
 
-    @property
-    def verlet_reuses(self) -> int:
-        """Neighbour-list reuses this stage (thin view over metrics)."""
-        return self._count("relax.verlet.reuses")
-
 
 # -- One pass over a wave plan ------------------------------------------------
 @dataclass
@@ -252,7 +235,6 @@ class Campaign:
     preset: Preset
     plan: ReplicationPlan
     suite: "LibrarySuite | None"
-    retry_policy: RetryPolicy | None
     #: Prefixed key → result: seeded, restored from the ledger or computed.
     resolved: dict[str, Any]
     #: Stage name → its result, for the stages assembled so far.
@@ -277,7 +259,7 @@ class Campaign:
         hand — so the queue decides per chain, the moment the feature
         dependency resolves and the task is promoted to runnable (at
         submission, when a fence or the ledger already resolved it).
-        Raise-only: an already-escalated retry is never demoted.
+        Raise-only: a spec already bound for a 2 TB node stays there.
         """
         if (
             not self.pipeline.use_highmem_routing
@@ -358,24 +340,20 @@ class Campaign:
             STAGES[stage].workers(self, ""),
             lambda t: costs[t.key],
             failure_fn=lambda t, w: self.oom_failure(t, w, stage),
-            retry_policy=self.retry_policy,
         )
 
 
 # -- The feature stage (Andes CPUs: MSA search) -------------------------------
-def _init_feature(suite: "LibrarySuite", cache: Any, *_: Any) -> None:
-    """The suite fingerprint memo is pre-warmed so each worker (or the
-    one fork parent) pays the content hash once, not once per cache key
-    computation; the k-mer indexes stay lazy."""
-    suite.fingerprint()
-    _CTX.update(suite=suite, feature_cache=cache)
+def _init_feature(suite: "LibrarySuite", *_: Any) -> None:
+    """The k-mer indexes stay lazy."""
+    _CTX["suite"] = suite
 
 
 def _run_feature(spec: TaskSpec) -> FeatureBundle:
     """Payload is the sequence record; no deps.  The MSA search against
     the installed suite."""
     record, _ = spec.payload
-    return generate_features(record, _CTX["suite"], cache=_CTX["feature_cache"])
+    return generate_features(record, _CTX["suite"])
 
 
 def _feature_workers(c: Campaign, pool: str) -> list[WorkerInfo]:
@@ -413,9 +391,7 @@ def _assemble_feature(c: Campaign) -> FeatureStageResult:
 
 
 # -- The inference stage (Summit GPUs: five models per target) ----------------
-def _init_inference(
-    suite: Any, cache: Any, factory: "NativeFactory", preset: str
-) -> None:
+def _init_inference(suite: Any, factory: "NativeFactory", preset: str) -> None:
     """The five-model bank shares one ``factory``: the five heads of a
     target ask for the same hidden native, and whichever asks first
     builds it for all."""
@@ -428,29 +404,29 @@ def _init_inference(
 
 
 def _run_inference(spec: TaskSpec) -> Prediction:
-    """Payload is ``(model_index, bias)``; the single dep is the feature
-    bundle.  The memory budget follows the *current attempt's* placement
-    class (``spec.requires_highmem``), so ``model.predict`` raises OOM
-    exactly when the paper's deployment would have lost the task, and a
-    retry escalated to a high-memory worker predicts under the 2 TB
-    budget its new home provides."""
-    (model_index, bias), deps = spec.payload
+    """Payload is the model index; the single dep is the feature bundle,
+    whose record's species sets the kingdom bias.  The memory budget
+    follows the task's placement class (``spec.requires_highmem``), so
+    ``model.predict`` raises OOM exactly when the paper's deployment
+    would have lost the task."""
+    model_index, deps = spec.payload
     bundle = deps[spec.depends_on[0]]
     budget = _CTX["hm_budget"] if spec.requires_highmem else _CTX["std_budget"]
-    config = _CTX["preset"].config(kingdom_bias=bias, memory_budget_bytes=budget)
+    config = _CTX["preset"].config(
+        kingdom_bias=kingdom_bias_for(bundle.record.species),
+        memory_budget_bytes=budget,
+    )
     return _CTX["bank"][model_index].predict(bundle, config)
 
 
 def _inference_workers(c: Campaign, pool: str) -> list[WorkerInfo]:
     """One worker per Summit GPU; the last nodes are the 2 TB ones when
-    routing is on — or when a retry policy needs somewhere to escalate
-    to."""
+    routing is on."""
     pipe = c.pipeline
-    routed = pipe.use_highmem_routing or c.retry_policy is not None
     return make_workers(
         pipe.inference_nodes,
         SUMMIT.gpus_per_node,
-        highmem_nodes=pipe.inference_highmem_nodes if routed else 0,
+        highmem_nodes=INFERENCE_HIGHMEM_NODES if pipe.use_highmem_routing else 0,
         pool=pool,
     )
 
@@ -632,7 +608,7 @@ STAGES: dict[str, StageDef] = {
 def init_stages(stages: tuple[str, ...], *inputs: Any) -> None:
     """Install the context of the stages one wave will run.
 
-    ``inputs`` — ``(suite, feature_cache, factory, preset_name)`` — go
+    ``inputs`` — ``(suite, factory, preset_name)`` — go
     to each named row's ``init``.  A worker of a multi-stage wave may
     be handed a feature task, then an inference task, then a relax
     minimisation — there is no per-stage worker lifetime to hang

@@ -38,10 +38,9 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Callable, Iterable
 
-from ..cluster.costmodel import SCHEDULER_STARTUP_SECONDS
-from ..dataflow.faults import RetryPolicy
 from ..dataflow.scheduler import TaskRecord, TaskSpec, WorkerInfo
 from ..dataflow.simulated import SimulationResult, simulate_dataflow
+from ..fold.model import MODEL_NAMES
 from .stagework import STAGES, split_streaming_key, streaming_key
 
 __all__ = [
@@ -63,18 +62,14 @@ def stage_of(spec: TaskSpec) -> str:
     return split_streaming_key(spec.key)[0]
 
 
-def build_campaign_specs(
-    records: Iterable[Any],
-    model_names: list[str],
-    bias_fn: Callable[[Any], float],
-) -> list[TaskSpec]:
-    """The campaign DAG: one chain of 1 + N + 1 specs per sequence.
+def build_campaign_specs(records: Iterable[Any]) -> list[TaskSpec]:
+    """The campaign DAG: one chain of 1 + 5 + 1 specs per sequence.
 
-    ``records`` are sequence records (``record_id``/``length``/
-    ``species``); ``model_names`` the model bank's names in bank order
-    (which fixes relax's tie-break order); ``bias_fn`` maps a record to
-    its kingdom bias.  Inference payloads carry ``(model_index, bias)``
-    only — the feature bundle arrives later via dependency injection —
+    ``records`` are sequence records (``record_id``/``length``).  The
+    inference heads are :data:`~repro.fold.model.MODEL_NAMES` in bank
+    order, which fixes relax's tie-break order.  Inference payloads
+    carry the model index only — the feature bundle, and with its
+    record the kingdom bias, arrives later via dependency injection —
     and inference ``requires_highmem`` is left False here because MSA
     depth is unknown until the feature task runs; the queue's finalize
     hook (:meth:`~repro.core.stagework.Campaign.finalize`) raises it at
@@ -92,15 +87,14 @@ def build_campaign_specs(
                 pool=STAGES["feature"].pool,
             )
         )
-        bias = bias_fn(record)
         inference_keys: list[str] = []
-        for model_index, name in enumerate(model_names):
+        for model_index, name in enumerate(MODEL_NAMES):
             key = streaming_key("inference", f"{rid}/{name}")
             inference_keys.append(key)
             specs.append(
                 TaskSpec(
                     key=key,
-                    payload=(model_index, bias),
+                    payload=model_index,
                     size_hint=record.length,
                     pool=STAGES["inference"].pool,
                     depends_on=(feature_key,),
@@ -158,8 +152,6 @@ def simulate_streaming_campaign(
     workers: list[WorkerInfo],
     durations: dict[str, float],
     failure_fn: Callable[[TaskSpec, WorkerInfo], str | None] | None = None,
-    retry_policy: RetryPolicy | None = None,
-    startup: float = SCHEDULER_STARTUP_SECONDS,
 ) -> SimulationResult:
     """The whole campaign through one dependency-driven simulation.
 
@@ -175,8 +167,6 @@ def simulate_streaming_campaign(
         workers,
         lambda t: durations.get(t.key, 0.0),
         failure_fn=failure_fn,
-        retry_policy=retry_policy,
-        startup=startup,
     )
 
 

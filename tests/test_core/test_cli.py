@@ -1,6 +1,9 @@
 """CLI tests (subprocess-free: drive main() directly)."""
 
 import csv
+import gc
+import warnings
+from contextlib import contextmanager
 
 import pytest
 
@@ -109,6 +112,17 @@ CAMPAIGN_ARGS = [
 ]
 
 
+@contextmanager
+def no_resource_warnings():
+    """Fail if the block leaves a file open for the collector to find."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+        gc.collect()
+    leaks = [str(w.message) for w in caught if w.category is ResourceWarning]
+    assert leaks == []
+
+
 def test_campaign_state_dir_then_resume(tmp_path, capsys):
     state = tmp_path / "state"
     rc = main(CAMPAIGN_ARGS + ["--state-dir", str(state)])
@@ -117,8 +131,10 @@ def test_campaign_state_dir_then_resume(tmp_path, capsys):
     assert "state    :" in out
     assert (state / "ledger.jsonl").exists()
 
-    # Re-running against a used state dir without --resume is refused.
-    rc = main(CAMPAIGN_ARGS + ["--state-dir", str(state)])
+    # Re-running against a used state dir without --resume is refused,
+    # and the refused run state is closed.
+    with no_resource_warnings():
+        rc = main(CAMPAIGN_ARGS + ["--state-dir", str(state)])
     assert rc == 2
     assert "pass --resume" in capsys.readouterr().err
 
@@ -138,6 +154,18 @@ def test_campaign_state_dir_then_resume(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "repro.runstate.ledger/1" in err and "repro.runstate.ledger/2" in err
     assert ledger.read_text() == '{"schema": "repro.runstate.ledger/1"}\n'
+
+
+def test_campaign_closes_state_when_the_run_raises(tmp_path, monkeypatch):
+    from repro.core import ProteomePipeline
+
+    def lost(self, *args, **kwargs):
+        raise RuntimeError("node lost")
+
+    monkeypatch.setattr(ProteomePipeline, "run", lost)
+    with no_resource_warnings():
+        with pytest.raises(RuntimeError, match="node lost"):
+            main(CAMPAIGN_ARGS + ["--state-dir", str(tmp_path / "state")])
 
 
 def test_campaign_resume_requires_state_dir(capsys):

@@ -1,8 +1,10 @@
 """Pipeline stage tests on a miniature proteome."""
 
+from dataclasses import fields
+
 import pytest
 
-from repro.core import ProteomePipeline, kingdom_bias_for
+from repro.core import ProteomePipeline, get_preset, kingdom_bias_for
 from repro.core.stats import (
     benchmark_row,
     improvement_concentration,
@@ -42,6 +44,60 @@ def test_kingdom_bias():
     assert kingdom_bias_for("S_divinum") > 0
     assert kingdom_bias_for("D_vulgaris") == 0.0
     assert kingdom_bias_for("unknown") == 0.0
+
+
+def test_pipeline_fields_are_the_product_settings():
+    """Every campaign setting is one the CLI, the benchmarks or the
+    examples set: preset, node counts, highmem routing, the executor
+    and schedule, the disk index and the run's observers."""
+    assert {f.name for f in fields(ProteomePipeline)} == {
+        "preset_name",
+        "feature_nodes",
+        "inference_nodes",
+        "relax_nodes",
+        "use_highmem_routing",
+        "compute_workers",
+        "executor_backend",
+        "schedule",
+        "index_dir",
+        "telemetry",
+        "run_state",
+        "task_observer",
+    }
+
+
+def test_plant_target_predicts_under_the_kingdom_bias():
+    """A plant target's top model is the model head's own prediction
+    under the plant bias (0.08), which the inference task reads off its
+    feature bundle's record; the unbiased prediction differs."""
+    from repro.fold.memory import standard_worker_memory_bytes
+    from repro.fold.model import MODEL_NAMES, SurrogateFoldModel
+
+    uni = SequenceUniverse(3)
+    prot = synthetic_proteome("S_divinum", universe=uni, seed=3, scale=0.002)[:1]
+    suite = build_suite(uni, ["S_divinum"], seed=3, scale=0.002)
+    factory = NativeFactory(uni)
+    result = ProteomePipeline(compute_workers=1).run(prot, suite, factory)
+    (rid,) = result.inference_stage.top_models
+    top = result.inference_stage.top_models[rid]
+    bundle = result.feature_stage.features[rid]
+    head = SurrogateFoldModel(factory, MODEL_NAMES.index(top.model_name))
+
+    def predict(bias):
+        config = get_preset("genome").config(
+            kingdom_bias=bias, memory_budget_bytes=standard_worker_memory_bytes()
+        )
+        return head.predict(bundle, config)
+
+    expected = predict(0.08)
+    assert kingdom_bias_for("S_divinum") == 0.08
+    assert (top.ptms, top.mean_plddt, top.n_recycles) == (
+        expected.ptms,
+        expected.mean_plddt,
+        expected.n_recycles,
+    )
+    assert top.structure.ca.tobytes() == expected.structure.ca.tobytes()
+    assert predict(0.0).ptms != top.ptms
 
 
 def test_feature_stage(full_run, mini):
@@ -137,8 +193,10 @@ def test_oom_failure_accounting(mini):
     """OOM tasks are failed in the records, not logged as successes:
     ``n_failed`` matches ``oom_failures`` and the keys are lost."""
     feats, factory = _long_target_features(mini)
-    bare = ProteomePipeline(inference_nodes=1, use_highmem_routing=False)
-    run = bare.run_inference_stage(feats, factory, preset_name="casp14")
+    bare = ProteomePipeline(
+        preset_name="casp14", inference_nodes=1, use_highmem_routing=False
+    )
+    run = bare.run_inference_stage(feats, factory)
     assert len(run.oom_failures) == 5
     assert run.simulation.n_failed == 5
     failed = [r for r in run.simulation.records if not r.ok]
@@ -147,52 +205,19 @@ def test_oom_failure_accounting(mini):
     assert all(r.attempt == 1 for r in failed)
 
 
-def test_retry_policy_recovers_oom_tasks(mini):
-    """With retries, OOM tasks re-run on highmem workers: zero lost
-    targets, failed-then-ok attempt pairs, no oom_failures."""
-    from repro.dataflow import RetryPolicy
-
-    feats, factory = _long_target_features(mini)
-    pipeline = ProteomePipeline(
-        inference_nodes=4, inference_highmem_nodes=1, use_highmem_routing=False
-    )
-    run = pipeline.run_inference_stage(
-        feats,
-        factory,
-        preset_name="casp14",
-        retry_policy=RetryPolicy(max_attempts=3, backoff_seconds=10.0),
-    )
-    assert run.oom_failures == []
-    assert run.simulation.lost_keys() == []
-    assert len(run.top_models) == 1
-    hm_ids = {w.worker_id for w in run.simulation.workers if w.highmem}
-    recovered = 0
-    for key in {r.key for r in run.simulation.records}:
-        attempts = sorted(
-            (r for r in run.simulation.records if r.key == key),
-            key=lambda r: r.attempt,
-        )
-        assert attempts[-1].ok
-        if len(attempts) > 1:
-            recovered += 1
-            assert not attempts[0].ok
-            assert attempts[-1].worker_id in hm_ids
-    assert recovered > 0
-
-
 def test_feature_stage_respects_plan_concurrency(mini):
     """The replication plan's slot count caps concurrent searches even
-    when it is below the node count (§3.2.1 contention bound)."""
-    from repro.iosim.replication import ReplicationPlan
+    when the nodes offer more slots (§3.2.1 contention bound): 30 Andes
+    nodes hold 120 search slots, the reduced dataset's plan allows 96."""
+    from repro.constants import REDUCED_DATASET_BYTES
+    from repro.iosim.replication import paper_plan
 
-    _uni, prot, suite, _factory = mini
-    plan = ReplicationPlan(
-        dataset_bytes=420_000_000_000, n_replicas=2, jobs_per_replica=1
-    )
-    pipeline = ProteomePipeline(feature_nodes=8, replication_plan=plan)
-    result = pipeline.run_feature_stage(prot, suite)
-    worker_ids = {r.worker_id for r in result.simulation.records}
-    assert len(worker_ids) <= plan.n_concurrent_jobs == 2
+    _uni, prot, suite, factory = mini
+    pipeline = ProteomePipeline(feature_nodes=30, inference_nodes=2, relax_nodes=1)
+    result = pipeline.run(prot, suite, factory).feature_stage
+    assert result.plan == paper_plan(REDUCED_DATASET_BYTES)
+    assert 30 * 4 > len(result.simulation.workers)
+    assert len(result.simulation.workers) == result.plan.n_concurrent_jobs == 96
 
 
 def test_highmem_routing_rescues_casp14(mini):
@@ -213,12 +238,28 @@ def test_highmem_routing_rescues_casp14(mini):
         annotated=False,
     )
     feats = {long_rec.record_id: generate_features(long_rec, suite)}
-    routed = ProteomePipeline(inference_nodes=1, use_highmem_routing=True)
-    bare = ProteomePipeline(inference_nodes=1, use_highmem_routing=False)
-    r1 = routed.run_inference_stage(feats, factory, preset_name="casp14")
-    r2 = bare.run_inference_stage(feats, factory, preset_name="casp14")
+    routed = ProteomePipeline(
+        preset_name="casp14", inference_nodes=1, use_highmem_routing=True
+    )
+    bare = ProteomePipeline(
+        preset_name="casp14", inference_nodes=1, use_highmem_routing=False
+    )
+    r1 = routed.run_inference_stage(feats, factory)
+    r2 = bare.run_inference_stage(feats, factory)
     assert not r1.oom_failures
     assert len(r2.oom_failures) == 5  # all five model tasks fail
+
+
+@pytest.mark.parametrize("routing, n_highmem", [(True, 2), (False, 0)])
+def test_inference_job_highmem_nodes(full_run, mini, routing, n_highmem):
+    """With routing on, the simulated inference job's last two nodes
+    are 2 TB ones (§3.3); with routing off it has none."""
+    _, _, _, factory = mini
+    pipeline = ProteomePipeline(inference_nodes=4, use_highmem_routing=routing)
+    run = pipeline.run_inference_stage(full_run.feature_stage.features, factory)
+    workers = run.simulation.workers
+    assert len({w.node_id for w in workers}) == 4
+    assert len({w.node_id for w in workers if w.highmem}) == n_highmem
 
 
 def test_executor_stages_deterministic_across_worker_counts(mini):
@@ -289,39 +330,20 @@ def test_stage_results_carry_execution_records(full_run, mini):
     assert not any(k.startswith("feature.") for k in rx.stage_metrics)
 
 
-def test_feature_stage_cache_counters(mini):
-    """A pipeline-attached FeatureCache turns repeat campaigns into
-    pure cache hits, and the stage result reports the split."""
-    from repro import FeatureCache
-
-    _, prot, suite, _ = mini
-    cache = FeatureCache()
-    pipeline = ProteomePipeline(feature_nodes=2, feature_cache=cache)
-    first = pipeline.run_feature_stage(prot, suite)
-    assert first.cache_misses == len(prot)
-    assert first.cache_hits == 0
-    second = pipeline.run_feature_stage(prot, suite)
-    assert second.cache_hits == len(prot)
-    assert second.cache_misses == 0
-    for rid, bundle in first.features.items():
-        assert second.features[rid].msa_depth == bundle.msa_depth
-    uncached = ProteomePipeline(feature_nodes=2).run_feature_stage(prot, suite)
-    assert uncached.cache_hits == 0 and uncached.cache_misses == 0
-
-
-def test_standalone_stage_calls_start_their_sim_timeline_at_zero(mini):
+def test_standalone_stage_calls_start_their_sim_timeline_at_zero(full_run, mini):
     """The simulated-timeline offset belongs to one call, not to the
     pipeline object: two stage calls on one pipeline under one tracer
     both place their first sim span at the stage's own start, instead of
     the second landing after the first's walltime."""
     from repro.telemetry import TelemetrySession
 
-    _, prot, suite, _ = mini
-    pipeline = ProteomePipeline(feature_nodes=2)
+    _, _, _, factory = mini
+    features = full_run.feature_stage.features
+    pipeline = ProteomePipeline(inference_nodes=2)
     session = TelemetrySession()
     with session.activate():
-        first = pipeline.run_feature_stage(prot, suite)
-        second = pipeline.run_feature_stage(prot, suite)
+        first = pipeline.run_inference_stage(features, factory)
+        second = pipeline.run_inference_stage(features, factory)
     sim_spans = [
         s for s in session.tracer.spans if s.attrs.get("clock") == "sim"
     ]

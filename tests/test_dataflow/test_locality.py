@@ -43,6 +43,7 @@ from repro.dataflow import (
 from repro.dataflow import simulated
 from repro.dataflow.bubbles import bubble_seconds
 from repro.dataflow.scheduler import TaskSpec, WorkerInfo
+from repro.fold.model import MODEL_NAMES
 from repro.telemetry import MetricsRegistry, use_metrics
 
 
@@ -266,10 +267,6 @@ class FifoQueue(TaskQueue):
 class _Target(NamedTuple):
     record_id: str
     length: int
-    species: str = "fig2"
-
-
-MODEL_NAMES = [f"model_{i}" for i in range(1, 6)]
 
 
 def fig2_campaign(n_targets: int = 48):
@@ -291,7 +288,7 @@ def fig2_campaign(n_targets: int = 48):
         durations[f"relax/{t.record_id}"] = relax_task_seconds(
             8 * t.length, 1, device="gpu"
         )
-    specs = streaming.build_campaign_specs(targets, MODEL_NAMES, lambda r: 0.0)
+    specs = streaming.build_campaign_specs(targets)
     return specs, durations
 
 

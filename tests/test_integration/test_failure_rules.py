@@ -4,16 +4,17 @@ The executor isolates exceptions per task; the pipeline then decides
 per stage whether a failed task is an operational event the paper's
 runs lived with (an inference head lost to OOM, a relax task skipped
 because every head was lost) or an error it must surface.  Faults are
-injected only through public seams — a :class:`FeatureCache` whose
-lookup raises, a :class:`NativeFactory` whose native raises — so the
-checks hold whatever the pipeline's internals look like.
+injected only through public inputs — a record too short for the MSA
+search, a :class:`NativeFactory` whose native raises — so the checks
+hold whatever the pipeline's internals look like.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.cache import FeatureCache
 from repro.core import ProteomePipeline
 from repro.fold import NativeFactory, OutOfMemoryError
 from repro.msa import build_suite
@@ -30,7 +31,7 @@ def world():
     return uni, Proteome(prot.species, list(prot[:3])), suite
 
 
-def _pipeline(schedule: str, **kwargs) -> ProteomePipeline:
+def _pipeline(schedule: str) -> ProteomePipeline:
     return ProteomePipeline(
         feature_nodes=4,
         inference_nodes=2,
@@ -38,21 +39,7 @@ def _pipeline(schedule: str, **kwargs) -> ProteomePipeline:
         compute_workers=2,
         executor_backend="threaded",
         schedule=schedule,
-        **kwargs,
     )
-
-
-class _FailingCache(FeatureCache):
-    """A cache whose lookup blows up for one record."""
-
-    def __init__(self, bad_id: str) -> None:
-        super().__init__()
-        self.bad_id = bad_id
-
-    def get(self, key, record=None):
-        if record is not None and record.record_id == self.bad_id:
-            raise ValueError(f"cache unreadable for {self.bad_id}")
-        return super().get(key, record=record)
 
 
 class _FailingFactory(NativeFactory):
@@ -69,23 +56,28 @@ class _FailingFactory(NativeFactory):
         return super().native(record)
 
 
-def _cache_fault(uni, bad):
-    return {"feature_cache": _FailingCache(bad)}, NativeFactory(uni)
+def _short_query_fault(uni, prot, bad):
+    """Cut one record to 5 residues: the k-mer search refuses it."""
+    records = [
+        replace(r, encoded=r.encoded[:5]) if r.record_id == bad else r
+        for r in prot
+    ]
+    return Proteome(prot.species, records), NativeFactory(uni)
 
 
-def _native_fault(uni, bad):
-    return {}, _FailingFactory(uni, bad, ValueError("corrupt native"))
+def _native_fault(uni, prot, bad):
+    return prot, _FailingFactory(uni, bad, ValueError("corrupt native"))
 
 
-def _oom_fault(uni, bad):
-    return {}, _FailingFactory(uni, bad, OutOfMemoryError(bad, 2**40, 2**34))
+def _oom_fault(uni, prot, bad):
+    return prot, _FailingFactory(uni, bad, OutOfMemoryError(bad, 2**40, 2**34))
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES)
 @pytest.mark.parametrize(
     "inject, raises",
     [
-        (_cache_fault, r"^feature generation stage: 1 task\(s\) failed"),
+        (_short_query_fault, r"^feature generation stage: 1 task\(s\) failed"),
         (_native_fault, r"^inference stage: 5 task\(s\) failed"),
         (_oom_fault, None),
     ],
@@ -97,8 +89,8 @@ def test_stage_failure_rules(world, schedule, inject, raises):
     survived, and is not relaxed."""
     uni, prot, suite = world
     bad = prot[1].record_id
-    pipeline_kwargs, factory = inject(uni, bad)
-    pipeline = _pipeline(schedule, **pipeline_kwargs)
+    prot, factory = inject(uni, prot, bad)
+    pipeline = _pipeline(schedule)
     if raises is not None:
         with pytest.raises(RuntimeError, match=raises) as info:
             pipeline.run(prot, suite, factory)

@@ -64,8 +64,7 @@ def test_barrier_threads_build_each_index_fold_and_native_once(
     registry = MetricsRegistry()
 
     def stages():
-        features = pipeline.run_feature_stage(prot, suite).features
-        return pipeline.run_inference_stage(features, factory)
+        return pipeline.run(prot, suite, factory).inference_stage
 
     with use_metrics(registry):
         (inference,) = run_bounded([stages], timeout=300.0)

@@ -324,12 +324,9 @@ class TestOomLostTargets:
         target's five heads need the same memory), so cut the DAG by
         hand: two heads resolved, three failed before the fence."""
         from repro.core import streaming
-        from repro.fold.model import MODEL_NAMES
 
         prot, _, _ = mini
-        specs = streaming.build_campaign_specs(
-            prot[:2], list(MODEL_NAMES), lambda r: 0.0
-        )
+        specs = streaming.build_campaign_specs(prot[:2])
         lost, kept = (r.record_id for r in prot[:2])
         resolved = {
             s.key: object()

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.cache import FeatureCache
 from repro.core import ProteomePipeline
 from repro.fold import NativeFactory
 from repro.msa import build_suite
@@ -31,7 +30,6 @@ def instrumented_run(tmp_path_factory):
         feature_nodes=4,
         inference_nodes=2,
         relax_nodes=1,
-        feature_cache=FeatureCache(),
         telemetry=TelemetrySession(run_dir),
     )
     result = pipeline.run(proteome, suite, NativeFactory(universe))
@@ -66,9 +64,6 @@ class TestArtifacts:
         for stage in ("feature", "inference", "relax"):
             hist = histograms[f"{stage}.task.latency_seconds"]
             assert hist["count"] > 0
-        # cache hit/miss (cold cache: all misses)
-        assert counters["feature.cache.misses"] > 0
-        assert "feature.cache.hits" in counters
         # retry/OOM accounting exists even when clean
         for stage in ("feature", "inference", "relax"):
             assert f"{stage}.task.retries" in counters
@@ -112,9 +107,7 @@ class TestArtifacts:
 
     def test_stage_metric_thin_views(self, instrumented_run):
         _, result = instrumented_run
-        fs, rx = result.feature_stage, result.relax_stage
-        assert fs.cache_misses == fs.stage_metrics["feature.cache.misses"]
-        assert fs.cache_hits == 0
+        rx = result.relax_stage
         assert rx.verlet_rebuilds == rx.stage_metrics["relax.verlet.rebuilds"]
         assert rx.verlet_rebuilds > 0
 
@@ -124,36 +117,3 @@ class TestArtifacts:
         assert "stages (wall clock):" in text
         assert "simulated tasks:" in text
         assert "relax.verlet.rebuilds" in text
-
-
-def test_second_run_with_warm_cache(tmp_path):
-    universe = SequenceUniverse(5)
-    proteome = synthetic_proteome(
-        "D_vulgaris", universe=universe, seed=5, scale=0.0015
-    )
-    suite = build_suite(universe, ["D_vulgaris"], seed=5, scale=0.0015)
-    factory = NativeFactory(universe)
-    cache = FeatureCache()
-
-    def run_once(run_dir):
-        pipeline = ProteomePipeline(
-            feature_nodes=2,
-            inference_nodes=1,
-            relax_nodes=1,
-            feature_cache=cache,
-            telemetry=TelemetrySession(run_dir),
-        )
-        return pipeline.run(proteome, suite, factory)
-
-    cold = run_once(tmp_path / "cold")
-    warm = run_once(tmp_path / "warm")
-    assert cold.feature_stage.cache_misses > 0
-    assert cold.feature_stage.cache_hits == 0
-    assert warm.feature_stage.cache_hits == cold.feature_stage.cache_misses
-    assert warm.feature_stage.cache_misses == 0
-    # science identical either way
-    assert warm.inference_stage.mean_top_plddt() == pytest.approx(
-        cold.inference_stage.mean_top_plddt()
-    )
-    warm_metrics = json.loads((tmp_path / "warm" / "metrics.json").read_text())
-    assert warm_metrics["counters"]["feature.cache.hits"] > 0
