@@ -21,12 +21,20 @@ lays that graph out once, and there is one way through it:
   failure rule, span name, pool and result assembly; the wave loop
   below runs whatever rows a wave names;
 * a **wave** is one ``executor.map`` of :func:`stagework.streaming_task`
-  over the wave's still-pending specs, with every result so far —
-  restored from the ledger, seeded by the caller or computed by an
-  earlier wave — handed in as ``preresolved``, so a chain resumes
-  mid-flight under either plan;
+  over the wave's still-pending specs, with the inputs they need —
+  restored from the ledger, seeded by the caller, kept by the campaign
+  or handed on by the wave before — as ``preresolved``, so a chain
+  resumes mid-flight under either plan;
 * a **fence** is nothing but the join between two maps: when a wave
-  returns, everything before the next one is terminal.
+  returns, everything before the next one is terminal, and the wave's
+  results (its map's sinks) and restored values are handed to the next.
+
+Every result reaches the :class:`~stagework.Campaign` through
+:meth:`~stagework.Campaign.take`, from the completion callback as it
+lands or from the restore path, so the parent keeps per target a
+feature bundle, five head summaries, one prediction and one relaxed
+outcome; the executor map holds a chain's intermediates only until
+their last consumer is terminal (DESIGN §11, §13).
 
 Task keys carry their stage prefix inside the maps; the completion
 callback strips it, so the ledger, the artifact store and the task
@@ -261,8 +269,9 @@ class ProteomePipeline:
             )
         return restored
 
-    def _on_complete(self) -> Callable[[TaskRecord, Any], None] | None:
-        """Executor ``on_complete``: durable record first, observer second.
+    def _on_complete(self, campaign: Campaign) -> Callable[[TaskRecord, Any], None]:
+        """Executor ``on_complete``: durable record first, then the
+        campaign's copy, then the observer.
 
         Task keys carry their stage prefix inside a wave
         (``inference/P001/model_3``); the ledger, artifact store and
@@ -272,8 +281,6 @@ class ProteomePipeline:
         one schedule resumes under the other.
         """
         state, observer = self.run_state, self.task_observer
-        if state is None and observer is None:
-            return None
         persists = {}
         if state is not None:
             persists = {name: state.on_complete(name) for name in STAGES}
@@ -283,6 +290,7 @@ class ProteomePipeline:
             bare_record = replace(record, key=bare)
             if stage in persists:
                 persists[stage](bare_record, value)
+            campaign.take(record.key, value)
             if observer is not None:
                 observer(stage, bare_record, value)
 
@@ -304,7 +312,10 @@ class ProteomePipeline:
         (a standalone inference stage is handed its features).  A wave
         restores its stages' ledgered keys, runs what is still pending,
         and assembles its stages' results; its stage spans and its
-        counter delta cover exactly that.  The map's workers are all
+        counter delta cover exactly that.  Its map's results and its
+        restored values are carried across the fence to the next wave
+        and no further: that is all a later map consumes that the
+        campaign does not keep.  The map's workers are all
         alike — every worker runs every stage of the wave, a chain stays
         on the worker that holds its inputs unless a peer would
         otherwise idle, and with highmem routing on the last worker
@@ -319,22 +330,23 @@ class ProteomePipeline:
             preset=preset,
             plan=paper_plan(REDUCED_DATASET_BYTES),
             suite=suite,
-            resolved=dict(seeded or {}),
         )
-        resolved = campaign.resolved
+        for key, value in (seeded or {}).items():
+            campaign.take(key, value)
         if self.index_dir is not None and suite is not None:
             # Swap every library onto its memory-mapped disk-index
             # artifact before any worker starts (or forks): workers then
             # share one page-cache copy of the postings and never
             # rebuild a CSR index per process.
             attach_suite_index(suite, self.index_dir)
-        on_complete = self._on_complete()
+        on_complete = self._on_complete(campaign)
 
         # Each stage's replay starts its clock at 0, but the jobs ran one
         # after another; a cumulative offset places every stage after
         # the previous one on the simulated timeline, so lanes never
         # overlap and trace-derived utilization stays physical.
         sim_offset = 0.0
+        carried: dict[str, Any] = {}  # across the last fence
         for wave in waves:
             rows = [STAGES[name] for name in wave]
             counters_before = metrics.counter_values()
@@ -353,15 +365,24 @@ class ProteomePipeline:
                         attrs={"n_tasks": len(campaign.bare_keys[row.name])},
                     )
             try:
-                # Resume: ledgered results seed the resolution map, so
+                # Resume: ledgered results are inputs of this map, so
                 # chains resume mid-flight (a ledgered feature feeds a
                 # pending inference).
+                restored: dict[str, Any] = {}
                 for row in rows:
-                    restored = self._restore_completed(
-                        row.name, campaign.bare_keys[row.name]
+                    restored.update(
+                        with_stage_prefix(
+                            row.name,
+                            self._restore_completed(
+                                row.name, campaign.bare_keys[row.name]
+                            ),
+                        )
                     )
-                    resolved.update(with_stage_prefix(row.name, restored))
-                pending = streaming.wave_specs(campaign.specs, wave, resolved)
+                for key, value in restored.items():
+                    campaign.take(key, value)
+                pending = streaming.wave_specs(
+                    campaign.specs, wave, campaign.done()
+                )
                 execution = self._executor(
                     len(pending),
                     highmem_workers=int(
@@ -376,12 +397,16 @@ class ProteomePipeline:
                     stage_spans=stage_spans or None,
                     finalize_fn=campaign.finalize,
                     inject_deps=True,
-                    preresolved=resolved,
+                    preresolved={**campaign.resolved, **carried, **restored},
                     on_complete=on_complete,
                     initializer=stagework.init_stages,
                     initargs=(wave, suite, factory, preset.name),
                 )
-                resolved.update(execution.results)
+                # The campaign took every value as it landed; the stages
+                # keep the wave's records, and only the next wave its
+                # values.
+                carried = {**restored, **execution.results}
+                execution = replace(execution, results={})
                 for row in rows:
                     row.raise_on_failures(execution.records)
                 for row in rows:

@@ -20,15 +20,21 @@ stash that stage's heavy shared state in the process-local :data:`_CTX`.
 The threaded executor runs it once, the process executor once per
 worker; under ``spawn`` its initargs travel by pickle — which is why
 an in-memory :class:`~repro.msa.kmer.KmerIndex` ships its frozen CSR
-arrays but not its lookup table, and one memory-mapped from a pipeline
+arrays and its rank table, and one memory-mapped from a pipeline
 ``index_dir`` re-attaches by artifact path.  Nothing lazy is
 pre-built: k-mer indexes, natives and family folds are built by the
 first task that needs them, once per process — threads that miss the
 same key wait for one build (:mod:`repro.singleflight`) — so the cost
 shows in that task's counter delta (``msa.index.rebuild``).
 
-**Parent side.**  A row's ``assemble`` gathers the stage's science from
-a :class:`Campaign` and costs every task; :meth:`Campaign.replay`, on
+**Parent side.**  Every result reaches the :class:`Campaign` through
+one function, :meth:`Campaign.take` — the pipeline's completion
+callback and its restore path both call it — and the row's ``keep``
+decides what of it the campaign holds: a feature bundle and a relaxed
+outcome whole, an inference head as a :class:`HeadSummary`, plus its
+target's top :class:`~repro.fold.model.Prediction` once all five heads
+are terminal.  A row's ``assemble`` gathers the stage's science from
+the campaign and costs every task; :meth:`Campaign.replay`, on
 the row's ``workers``, replays the stage's own batch job in simulated
 time (records, wall time, node-hours — Table 2, Fig. 2).  The replay is
 a function of the science alone, so node-hours cannot depend on the
@@ -40,6 +46,7 @@ Every task key is built by :func:`streaming_key` and taken apart by
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, ClassVar
 
@@ -81,6 +88,7 @@ __all__ = [
     "InferenceStageResult",
     "RelaxStageResult",
     "Campaign",
+    "HeadSummary",
     "init_stages",
     "streaming_task",
     "streaming_key",
@@ -145,7 +153,8 @@ class StageResult:
     #: ``barrier``, one under ``streaming``, so sum per wave, not per stage.
     stage_metrics: dict[str, float] = field(default_factory=dict, kw_only=True)
     #: The executor map — the wave — that did this stage's work for real;
-    #: its records carry stage-prefixed keys.
+    #: its records carry stage-prefixed keys.  Its ``results`` are empty:
+    #: the values went to the :class:`Campaign` as they landed.
     execution: ExecutionResult | None = field(default=None, kw_only=True)
     #: Stage name, as in the ``<stage>.task.*`` metric names.
     stage: ClassVar[str]
@@ -182,11 +191,34 @@ class FeatureStageResult(StageResult):
     stage: ClassVar[str] = "feature"
 
 
+@dataclass(frozen=True)
+class HeadSummary:
+    """What the campaign keeps of one inference head's prediction: the
+    numbers ranking, costing and reporting read, without the structure."""
+
+    model_name: str
+    ptms: float
+    mean_plddt: float
+    n_recycles: int
+    true_tm: float
+
+    @classmethod
+    def of(cls, prediction: Prediction) -> "HeadSummary":
+        return cls(
+            prediction.model_name,
+            prediction.ptms,
+            prediction.mean_plddt,
+            prediction.n_recycles,
+            prediction.true_tm,
+        )
+
+
 @dataclass
 class InferenceStageResult(StageResult):
     """Output of the GPU inference campaign."""
 
-    predictions: dict[str, list[Prediction]]
+    #: Record id -> its surviving heads, in bank order.
+    predictions: dict[str, list[HeadSummary]]
     top_models: dict[str, Prediction]
     oom_failures: list[tuple[str, str]]  # (record_id, model_name)
     preset: Preset
@@ -227,28 +259,59 @@ class RelaxStageResult(StageResult):
 # -- One pass over a wave plan ------------------------------------------------
 @dataclass
 class Campaign:
-    """One pass over a wave plan: its inputs, every result so far, and
-    what the timeline scorer needs to replay the campaign as a whole."""
+    """One pass over a wave plan: its inputs, what it keeps of every
+    result so far, and what the timeline scorer needs to replay the
+    campaign as a whole.
+
+    What it keeps per target is bounded: the feature bundle, five head
+    summaries, the top prediction and the relaxed outcome.  A head's
+    full prediction is held only until its target's five heads are
+    terminal; the chain's own consumers get theirs from the executor
+    map, or across a fence from the wave before.
+    """
 
     pipeline: "ProteomePipeline"
     specs: list[TaskSpec]  # the DAG as built
     preset: Preset
     plan: ReplicationPlan
     suite: "LibrarySuite | None"
-    #: Prefixed key → result: seeded, restored from the ledger or computed.
-    resolved: dict[str, Any]
+    #: Prefixed key → feature bundle or relaxed outcome.
+    resolved: dict[str, Any] = field(default_factory=dict)
+    #: Prefixed inference key → summary of the head's prediction.
+    heads: dict[str, HeadSummary] = field(default_factory=dict)
+    #: Record id → its top prediction, once all five heads are terminal.
+    top_models: dict[str, Prediction] = field(default_factory=dict)
     #: Stage name → its result, for the stages assembled so far.
     stages: dict[str, StageResult] = field(default_factory=dict)
     #: Prefixed key → modelled seconds / bytes needed, per replayed task.
     durations: dict[str, float] = field(default_factory=dict)
     memory_needed: dict[str, int] = field(default_factory=dict)
     bare_keys: dict[str, list[str]] = field(init=False)  # per stage, DAG order
+    #: Record id → its heads' predictions in bank order (``_PENDING``
+    #: until terminal, ``None`` if lost) while any head is pending.
+    _held: dict[str, list[Any]] = field(default_factory=dict, init=False)
+    # ``take`` runs on executor worker threads on the threaded backend.
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False)
 
     def __post_init__(self) -> None:
         self.bare_keys = {name: [] for name in STAGES}
         for spec in self.specs:
             stage, bare = split_streaming_key(spec.key)
             self.bare_keys[stage].append(bare)
+
+    def take(self, key: str, value: Any) -> None:
+        """Keep what the campaign needs of one task's result.
+
+        ``key`` is prefixed; ``value`` is ``None`` for a failed
+        attempt.  The campaign's maps run without a retry policy, so
+        every record is its key's last.
+        """
+        with self._lock:
+            STAGES[split_streaming_key(key)[0]].keep(self, key, value)
+
+    def done(self) -> set[str]:
+        """Prefixed keys that have a result."""
+        return self.resolved.keys() | self.heads.keys()
 
     def finalize(self, spec: TaskSpec, resolved: dict[str, Any]) -> TaskSpec:
         """The queue's enqueue-time highmem router (its ``finalize_fn``).
@@ -343,6 +406,11 @@ class Campaign:
         )
 
 
+def _keep_whole(c: Campaign, key: str, value: Any) -> None:
+    if value is not None:
+        c.resolved[key] = value
+
+
 # -- The feature stage (Andes CPUs: MSA search) -------------------------------
 def _init_feature(suite: "LibrarySuite", *_: Any) -> None:
     """The k-mer indexes stay lazy."""
@@ -431,13 +499,33 @@ def _inference_workers(c: Campaign, pool: str) -> list[WorkerInfo]:
     )
 
 
+#: A head slot of :attr:`Campaign._held` whose head is not terminal yet.
+_PENDING = object()
+
+
+def _keep_inference(c: Campaign, key: str, value: Prediction | None) -> None:
+    """Summarise the head; once its target's five are terminal, keep
+    only the top one — ``max(..., key=ptms)`` in bank order, the pick
+    :func:`_run_relax` makes."""
+    rid, _, name = split_streaming_key(key)[1].rpartition("/")
+    if value is not None:
+        c.heads[key] = HeadSummary.of(value)
+    slots = c._held.setdefault(rid, [_PENDING] * len(MODEL_NAMES))
+    slots[MODEL_NAMES.index(name)] = value
+    if _PENDING in slots:
+        return
+    del c._held[rid]
+    preds = [p for p in slots if p is not None]
+    if preds:
+        c.top_models[rid] = max(preds, key=lambda p: p.ptms)
+
+
 def _assemble_inference(c: Campaign) -> InferenceStageResult:
-    """Group the per-(target, model) predictions and replay the Summit
-    inference job.  A missing head is an OOM loss, costed at the
+    """Group the per-(target, model) head summaries and replay the
+    Summit inference job.  A missing head is an OOM loss, costed at the
     preset's recycle cap."""
     preset = c.preset
-    preds_by_key = c.results_of("inference")
-    predictions: dict[str, list[Prediction]] = {}
+    predictions: dict[str, list[HeadSummary]] = {}
     oom: list[tuple[str, str]] = []
     costs: dict[str, float] = {}
     memory_needed: dict[str, int] = {}
@@ -448,7 +536,7 @@ def _assemble_inference(c: Campaign) -> InferenceStageResult:
         for name in MODEL_NAMES:
             key = f"{record_id}/{name}"
             memory_needed[key] = needed
-            pred = preds_by_key.get(key)
+            pred = c.heads.get(streaming_key("inference", key))
             if pred is None:
                 oom.append((record_id, name))
                 bias = kingdom_bias_for(bundle.record.species)
@@ -465,10 +553,7 @@ def _assemble_inference(c: Campaign) -> InferenceStageResult:
         get_metrics().counter("inference.oom.lost_tasks").inc(len(oom))
     return InferenceStageResult(
         predictions=predictions,
-        top_models={
-            rid: max(preds, key=lambda p: p.ptms)
-            for rid, preds in predictions.items()
-        },
+        top_models={rid: c.top_models[rid] for rid in predictions},
         oom_failures=oom,
         simulation=c.replay("inference", costs, memory_needed),
         n_nodes=c.pipeline.inference_nodes,
@@ -538,6 +623,8 @@ class StageDef:
     run: Callable[[TaskSpec], Any]
     workers: Callable[[Campaign, str], list[WorkerInfo]]
     assemble: Callable[[Campaign], StageResult]
+    #: Parent side, per result: what :meth:`Campaign.take` keeps of it.
+    keep: Callable[[Campaign, str, Any], None] = _keep_whole
     #: Which task errors the campaign survives: a target lost to OOM is
     #: an operational event the paper's runs lived with, and its relax
     #: task is then skipped, not failed.
@@ -587,6 +674,7 @@ STAGES: dict[str, StageDef] = {
             run=_run_inference,
             workers=_inference_workers,
             assemble=_assemble_inference,
+            keep=_keep_inference,
             survives=is_oom_error,
             memory_routed=True,
         ),

@@ -36,7 +36,7 @@ keys, :func:`~repro.core.stagework.split_streaming_key` splits them):
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Callable, Iterable
+from typing import AbstractSet, Any, Callable, Iterable
 
 from ..dataflow.scheduler import TaskRecord, TaskSpec, WorkerInfo
 from ..dataflow.simulated import SimulationResult, simulate_dataflow
@@ -114,28 +114,27 @@ def build_campaign_specs(records: Iterable[Any]) -> list[TaskSpec]:
 
 
 def wave_specs(
-    specs: list[TaskSpec], stages: tuple[str, ...], resolved: dict[str, Any]
+    specs: list[TaskSpec], stages: tuple[str, ...], done: AbstractSet[str]
 ) -> list[TaskSpec]:
     """The specs of ``stages`` one wave still has to run.
 
-    ``resolved`` maps every key that has a result so far — restored
-    from the ledger, seeded by the caller, or computed by an earlier
-    wave — to that result; those specs are done.  Everything before
-    this wave is terminal (that is what the fence means), so an edge
-    to a key that is neither resolved nor part of this wave points at
-    a task that *failed* for good, and no later map will ever resolve
-    it.  Such an edge is applied here the way the queue would have
-    applied the failure: a ``dep_mode="resolved"`` spec drops it and
-    runs on what survived, and a spec left with nothing it may run on
-    (any dead edge under ``"all"``, every edge dead under
-    ``"resolved"``) is not submitted — an OOM-lost target is never
-    relaxed.  Forwarding the dead edge instead would strand the spec
-    in the next map's blocked set.
+    ``done`` holds every key that has a result so far — restored from
+    the ledger, seeded by the caller, or computed by an earlier wave;
+    those specs are done.  Everything before this wave is terminal
+    (that is what the fence means), so an edge to a key that is
+    neither done nor part of this wave points at a task that *failed*
+    for good, and no later map will ever resolve it.  Such an edge is
+    applied here the way the queue would have applied the failure: a
+    ``dep_mode="resolved"`` spec drops it and runs on what survived,
+    and a spec left with nothing it may run on (any dead edge under
+    ``"all"``, every edge dead under ``"resolved"``) is not submitted
+    — an OOM-lost target is never relaxed.  Forwarding the dead edge
+    instead would strand the spec in the next map's blocked set.
     """
-    live = set(resolved)
+    live = set(done)
     wave: list[TaskSpec] = []
     for spec in specs:  # DAG order: a spec's dependencies precede it
-        if stage_of(spec) not in stages or spec.key in resolved:
+        if stage_of(spec) not in stages or spec.key in done:
             continue
         deps = tuple(d for d in spec.depends_on if d in live)
         if len(deps) < len(spec.depends_on):

@@ -13,8 +13,11 @@ Everything a driver must not get wrong lives here and exists once:
 per-attempt :class:`TaskRecord`\\ s and ``<stage>.task.*`` metrics,
 ``on_complete`` *before* publish, retry/backoff with OOM→highmem
 escalation, ``SkippedDependency`` records for a poisoned chain,
-``preresolved``/``inject_deps``/finalize-at-promotion, and the rule
-that every submitted key ends in exactly one terminal record.  A driver
+``preresolved``/``inject_deps``/finalize-at-promotion, the rule that
+every submitted key ends in exactly one terminal record, and — under
+``inject_deps`` — the rule that a value lives until its last consumer
+is terminal, so a run holds the values of the chains in flight, not of
+every chain it ran.  A driver
 owns only what differs: how ``func`` runs, what its clock is, and how
 it sleeps until something changes.
 """
@@ -71,7 +74,13 @@ class RecordStats:
 
 @dataclass
 class ExecutionResult(RecordStats):
-    """Completed run: per-task records + results keyed by task key."""
+    """Completed run: per-task records + results keyed by task key.
+
+    Under ``inject_deps`` ``results`` holds the map's sinks only — the
+    values no spec of the map consumes; a consumed value went to
+    ``on_complete`` and to its consumers, and was dropped once the last
+    of them was terminal.  Without it every result is kept.
+    """
 
     records: list[TaskRecord]
     results: dict[str, Any]
@@ -189,7 +198,21 @@ class SchedulerCore:
         self.posthoc_spans = True
         self.records: list[TaskRecord] = []
         self.results: dict[str, Any] = {}
+        #: Under ``inject_deps``: consumed key -> how many of the specs
+        #: that consume it are not yet terminal.  A key the map consumes
+        #: has an entry (zero once its last consumer is terminal); a
+        #: sink has none.
+        self._consumers: dict[str, int] = {}
         self.resolved: dict[str, Any] = dict(preresolved or {})
+        if inject_deps:
+            items = list(items)
+            for item in items:
+                for dep in getattr(item, "depends_on", ()):
+                    self._consumers[dep] = self._consumers.get(dep, 0) + 1
+            # A seeded value no spec consumes is nobody's input.
+            self.resolved = {
+                k: v for k, v in self.resolved.items() if k in self._consumers
+            }
         self.callback_errors: list[str] = []
         self.in_flight = 0
         # Respawned tasks waiting out a retry backoff: (ready_at, seq,
@@ -392,8 +415,10 @@ class SchedulerCore:
         with self.lock:
             self.records.append(record)
             self.in_flight -= 1
+            if respawn is None:
+                self._retire(task)
             if ok:
-                self.results[task.key] = self.resolved[task.key] = value
+                self._publish(task.key, value)
                 promoted = self.queue.mark_complete(task.key, worker)
             elif respawn is not None:
                 # Always through the heap, even with no backoff: the
@@ -412,6 +437,35 @@ class SchedulerCore:
         if not ok and respawn is None:
             self._skip_poisoned(now)
         return promoted, retry_at
+
+    def _publish(self, key: str, value: Any) -> None:
+        """Keep a completed value: for its consumers, or as a result.
+
+        Without ``inject_deps`` every value is both.  With it a value
+        is kept for the consumers still to run, or — if no spec of the
+        map consumes it — as a sink; a consumed value whose consumers
+        are all terminal already is kept as neither.
+        """
+        if not self.inject_deps:
+            self.results[key] = self.resolved[key] = value
+        elif key not in self._consumers:
+            self.results[key] = value
+        elif self._consumers[key]:
+            self.resolved[key] = value
+
+    def _retire(self, task: TaskSpec) -> None:
+        """``task`` is terminal: drop each input it was the last to need.
+
+        Called once per key — on its last attempt, never on one a retry
+        follows, so a deferred retry still finds its inputs.
+        """
+        if not self.inject_deps:
+            return
+        for dep in task.depends_on:
+            left = self._consumers[dep] - 1
+            self._consumers[dep] = left
+            if not left:
+                self.resolved.pop(dep, None)
 
     def _notify(self, record: TaskRecord, value: Any) -> None:
         if self.on_complete is None:
@@ -448,6 +502,7 @@ class SchedulerCore:
         self._notify(record, None)
         with self.lock:
             self.records.append(record)
+            self._retire(spec)
 
     def _skip_poisoned(self, at: float) -> None:
         with self.lock:

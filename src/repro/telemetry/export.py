@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from .metrics import MetricsRegistry
 from .tracer import Span, TraceEventRecord, Tracer
@@ -57,30 +57,31 @@ def _lane_key(span: Span) -> str | None:
     return str(worker) if worker is not None else None
 
 
-def chrome_trace(
-    spans: Iterable[Span],
-    events: Iterable[TraceEventRecord] = (),
-    metadata: dict[str, Any] | None = None,
-) -> dict:
-    """Assemble the Chrome trace-event JSON object.
+def _trace_events(
+    spans: Iterable[Span], events: Iterable[TraceEventRecord]
+) -> Iterator[dict]:
+    """The trace's events one at a time: spans, instants, then metadata.
 
     Worker lanes get stable ``tid`` numbers in first-seen order per
     clock domain, plus ``thread_name`` metadata rows so the viewer
     shows worker ids instead of bare numbers.  Open spans (``end is
     None``) are skipped — a trace is exported after its run finishes.
     """
-    trace_events: list[dict] = []
     lanes: dict[tuple[int, str], int] = {}
+    lanes_per_pid: dict[int, int] = {}
+    used_pids: set[int] = set()
 
     def pid_for(attrs: dict[str, Any]) -> int:
-        return SIM_PID if attrs.get("clock") == "sim" else WALL_PID
+        pid = SIM_PID if attrs.get("clock") == "sim" else WALL_PID
+        used_pids.add(pid)
+        return pid
 
     def tid_for(pid: int, lane: str | None) -> int:
         if lane is None:
             return _PIPELINE_TID
         key = (pid, lane)
         if key not in lanes:
-            lanes[key] = len([k for k in lanes if k[0] == pid]) + 1
+            lanes[key] = lanes_per_pid[pid] = lanes_per_pid.get(pid, 0) + 1
         return lanes[key]
 
     for span in spans:
@@ -92,65 +93,67 @@ def chrome_trace(
         args["span_id"] = span.span_id
         if span.parent_id is not None:
             args["parent_id"] = span.parent_id
-        trace_events.append(
-            {
-                "name": span.name,
-                "cat": span.category,
-                "ph": "X",
-                "ts": span.start * 1e6,
-                "dur": (span.end - span.start) * 1e6,
-                "pid": pid,
-                "tid": tid,
-                "args": args,
-            }
-        )
+        yield {
+            "name": span.name,
+            "cat": span.category,
+            "ph": "X",
+            "ts": span.start * 1e6,
+            "dur": (span.end - span.start) * 1e6,
+            "pid": pid,
+            "tid": tid,
+            "args": args,
+        }
     for event in events:
         pid = pid_for(event.attrs)
         tid = tid_for(pid, event.attrs.get("worker"))
-        trace_events.append(
-            {
-                "name": event.name,
-                "cat": event.category,
-                "ph": "i",
-                "s": "t",
-                "ts": event.timestamp * 1e6,
-                "pid": pid,
-                "tid": tid,
-                "args": dict(event.attrs),
-            }
-        )
-    used_pids = {e["pid"] for e in trace_events}
+        yield {
+            "name": event.name,
+            "cat": event.category,
+            "ph": "i",
+            "s": "t",
+            "ts": event.timestamp * 1e6,
+            "pid": pid,
+            "tid": tid,
+            "args": dict(event.attrs),
+        }
     for pid in sorted(used_pids):
-        trace_events.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {"name": _PID_NAMES.get(pid, f"pid {pid}")},
-            }
-        )
-        trace_events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": _PIPELINE_TID,
-                "args": {"name": "pipeline"},
-            }
-        )
+        yield {
+            "name": "process_name",
+            "ph": "M",
+            "pid": pid,
+            "tid": 0,
+            "args": {"name": _PID_NAMES.get(pid, f"pid {pid}")},
+        }
+        yield {
+            "name": "thread_name",
+            "ph": "M",
+            "pid": pid,
+            "tid": _PIPELINE_TID,
+            "args": {"name": "pipeline"},
+        }
     for (pid, lane), tid in sorted(lanes.items(), key=lambda kv: kv[1]):
-        trace_events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": tid,
-                "args": {"name": lane},
-            }
-        )
+        yield {
+            "name": "thread_name",
+            "ph": "M",
+            "pid": pid,
+            "tid": tid,
+            "args": {"name": lane},
+        }
+
+
+def chrome_trace(
+    spans: Iterable[Span],
+    events: Iterable[TraceEventRecord] = (),
+    metadata: dict[str, Any] | None = None,
+) -> dict:
+    """The Chrome trace-event JSON object, whole in memory.
+
+    For in-memory readers (:func:`lanes_from_trace`, tests); a run's
+    ``trace.json`` is written by :func:`write_chrome_trace`, which
+    streams the same events.
+    """
     return {
-        "traceEvents": trace_events,
+        "traceEvents": list(_trace_events(spans, events)),
         "displayTimeUnit": "ms",
         "otherData": dict(metadata or {}),
     }
@@ -161,16 +164,27 @@ def write_chrome_trace(
     spans: Iterable[Span] | Tracer,
     events: Iterable[TraceEventRecord] | None = None,
     metadata: dict[str, Any] | None = None,
-) -> dict:
-    """Write ``trace.json``; accepts a tracer or an explicit span list."""
+) -> None:
+    """Write ``trace.json``; accepts a tracer or an explicit span list.
+
+    The file is written one event at a time, so neither the event list
+    nor the JSON text is ever whole in memory; its bytes are those of
+    ``json.dumps(chrome_trace(spans, events, metadata))``.
+    """
     if isinstance(spans, Tracer):
         tracer = spans
-        spans = list(tracer.spans)
+        spans = tracer.spans
         if events is None:
-            events = list(tracer.events)
-    trace = chrome_trace(spans, events or (), metadata)
-    Path(path).write_text(json.dumps(trace), encoding="utf-8")
-    return trace
+            events = tracer.events
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{"traceEvents": [')
+        for i, event in enumerate(_trace_events(spans, events or ())):
+            if i:
+                fh.write(", ")
+            fh.write(json.dumps(event))
+        fh.write('], "displayTimeUnit": "ms", "otherData": ')
+        fh.write(json.dumps(dict(metadata or {})))
+        fh.write("}")
 
 
 def validate_chrome_trace(trace: dict) -> list[str]:

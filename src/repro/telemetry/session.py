@@ -67,11 +67,7 @@ class TelemetrySession:
             "metrics_csv": self.run_dir / "metrics.csv",
         }
         write_manifest(paths["manifest"], **fields)
-        write_chrome_trace(
-            paths["trace"],
-            list(self.tracer.spans),
-            events=list(self.tracer.events),
-        )
+        write_chrome_trace(paths["trace"], self.tracer)
         write_metrics_json(paths["metrics"], self.metrics)
         write_metrics_csv(paths["metrics_csv"], self.metrics)
         return paths

@@ -1,18 +1,26 @@
 """Pipeline stage tests on a miniature proteome."""
 
-from dataclasses import fields
+import gc
+import sys
+import threading
+from collections import Counter
+from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core import ProteomePipeline, get_preset, kingdom_bias_for
+from repro.core.stagework import Campaign
+from repro.core.streaming import build_campaign_specs
 from repro.core.stats import (
     benchmark_row,
     improvement_concentration,
     summarize_proteome,
 )
-from repro.fold import NativeFactory
+from repro.fold import NativeFactory, Prediction
+from repro.fold.model import MODEL_NAMES
 from repro.msa import build_suite
-from repro.sequences import SequenceUniverse, synthetic_proteome
+from repro.sequences import Proteome, SequenceUniverse, synthetic_proteome
 
 
 @pytest.fixture(scope="module")
@@ -113,10 +121,22 @@ def test_inference_stage(full_run, mini):
     _, prot, _, _ = mini
     inf = full_run.inference_stage
     assert len(inf.top_models) == len(prot)
-    for rid, preds in inf.predictions.items():
-        assert 1 <= len(preds) <= 5
+    for rid, heads in inf.predictions.items():
+        assert 1 <= len(heads) <= 5
+        # Head summaries in bank order; the top model is the first head
+        # of maximal pTMS, and its numbers are its head's.
+        names = [h.model_name for h in heads]
+        assert names == sorted(names, key=MODEL_NAMES.index)
         top = inf.top_models[rid]
-        assert top.ptms == max(p.ptms for p in preds)
+        first_max = max(heads, key=lambda h: h.ptms)
+        assert top.model_name == first_max.model_name
+        assert (top.ptms, top.mean_plddt, top.n_recycles, top.true_tm) == (
+            first_max.ptms,
+            first_max.mean_plddt,
+            first_max.n_recycles,
+            first_max.true_tm,
+        )
+        assert top.record_id == rid
     # five tasks per target in the simulation
     assert len(inf.simulation.records) == 5 * len(prot)
 
@@ -353,3 +373,126 @@ def test_standalone_stage_calls_start_their_sim_timeline_at_zero(full_run, mini)
     assert starts[0] == starts[1] == min(
         r.start for r in second.simulation.records
     )
+
+
+def _live_predictions(tag: str) -> list[Prediction]:
+    """Live predictions of the records whose id starts with ``tag``."""
+    gc.collect()
+    return [
+        o
+        for o in gc.get_objects()
+        if isinstance(o, Prediction) and o.record_id.startswith(tag)
+    ]
+
+
+@pytest.mark.parametrize("schedule", ["streaming", "barrier"])
+def test_campaign_keeps_one_prediction_per_target(mini, schedule):
+    """Once a campaign on threads returns, the only predictions of its
+    targets still alive are its top models, one per target — under
+    streaming and behind the barrier fence alike — and each head's
+    summary carries the numbers that head computed.  Under streaming a
+    target is down to its top model as soon as its relax is terminal:
+    the chain's intermediates leave the scheduler as it drains."""
+    _, prot, suite, factory = mini
+    tag = f"lifetime-{schedule}-"
+    prot = Proteome(
+        prot.species,
+        [replace(r, record_id=tag + r.record_id) for r in prot[:6]],
+    )
+    computed = {}
+    relaxed: list[str] = []
+    mid_run: dict[str, int] = {}
+
+    def observer(stage, record, value):
+        if stage == "inference" and record.ok:
+            computed[record.key] = (value.ptms, value.n_recycles)
+        elif stage == "relax" and schedule == "streaming":
+            live = Counter(p.record_id for p in _live_predictions(tag))
+            mid_run.update({rid: live[rid] for rid in relaxed})
+            relaxed.append(record.key)
+
+    result = ProteomePipeline(
+        schedule=schedule,
+        feature_nodes=4,
+        inference_nodes=2,
+        relax_nodes=1,
+        # One worker: each callback runs after the previous task's
+        # completion was published.
+        compute_workers=1,
+        task_observer=observer,
+    ).run(prot, suite, factory)
+    live = _live_predictions(tag)
+    tops = result.inference_stage.top_models
+    assert sorted(p.record_id for p in live) == sorted(r.record_id for r in prot)
+    assert {id(p) for p in live} == {id(p) for p in tops.values()}
+    if schedule == "streaming":
+        assert mid_run == {rid: 1 for rid in relaxed[:-1]}
+        assert len(mid_run) == len(prot) - 1
+    summaries = {
+        f"{rid}/{head.model_name}": (head.ptms, head.n_recycles)
+        for rid, heads in result.inference_stage.predictions.items()
+        for head in heads
+    }
+    assert len(computed) == 5 * len(prot)
+    assert summaries == computed
+
+
+def test_campaign_take_from_many_threads():
+    """On threads, ``Campaign.take`` runs on the executor's workers, so
+    the heads of one target land concurrently: one thread per head,
+    each walking the targets in the same order under a short switch
+    interval, loses no summary, leaves no target held, and still keeps
+    the bank-order first maximum (pTMS ties are common here) as each
+    target's top model."""
+    records = [SimpleNamespace(record_id=f"T{i:04d}", length=9) for i in range(500)]
+    campaign = Campaign(
+        pipeline=None,
+        specs=build_campaign_specs(records),
+        preset=None,
+        plan=None,
+        suite=None,
+    )
+    by_target = {
+        r.record_id: [
+            SimpleNamespace(
+                record_id=r.record_id,
+                model_name=name,
+                ptms=float((i * j) % 3),
+                mean_plddt=50.0 + j,
+                n_recycles=j,
+                true_tm=0.5,
+            )
+            for j, name in enumerate(MODEL_NAMES)
+        ]
+        for i, r in enumerate(records)
+    }
+    errors: list[BaseException] = []
+    start = threading.Barrier(len(MODEL_NAMES), timeout=30)
+
+    def land(head):
+        try:
+            start.wait()
+            for rid, preds in by_target.items():
+                campaign.take(f"inference/{rid}/{MODEL_NAMES[head]}", preds[head])
+        except Exception as exc:  # a lost race surfaces as a KeyError
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=land, args=(head,)) for head in range(len(MODEL_NAMES))
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(campaign.heads) == len(MODEL_NAMES) * len(records)
+    assert campaign._held == {}
+    assert {rid: id(p) for rid, p in campaign.top_models.items()} == {
+        rid: id(max(preds, key=lambda p: p.ptms)) for rid, preds in by_target.items()
+    }

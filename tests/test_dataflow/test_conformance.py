@@ -16,6 +16,8 @@ which runs no task function, sees exactly what the real ones do.
 
 from __future__ import annotations
 
+import gc
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
@@ -74,6 +76,8 @@ class Outcome:
     results: dict[str, Any]
     #: ``(key, attempt) -> dispatched worker was eligible`` per dispatch.
     placed: dict[tuple[str, int], bool]
+    #: What the core still held for consumers when the run ended.
+    resolved: dict[str, Any] = field(default_factory=dict)
 
     def order(self) -> list[tuple[str, int, bool, str]]:
         """Attempts in record order, timestamps dropped."""
@@ -138,7 +142,7 @@ def run(
         ran = placed.get((r.key, r.attempt))
         assert (ran is None) == (r.worker_id == UNSCHEDULED_WORKER_ID)
         assert ran is not False, f"{r.key} ran on an ineligible worker"
-    return Outcome(core.records, core.results, placed)
+    return Outcome(core.records, core.results, placed, core.resolved)
 
 
 def std_and_highmem() -> list[WorkerInfo]:
@@ -207,6 +211,31 @@ SCENARIOS: dict[str, Callable[[], Scenario]] = {
             "preresolved": {"feature/x": 10},
             "inject_deps": True,
             "retry_policy": RetryPolicy(max_attempts=2),
+        },
+    ),
+    # Three levels under inject_deps: root/0 feeds two mids, mid/1 two
+    # leaves; mid/1's first attempt fails and its retry waits out a
+    # backoff while root/0's other consumer finishes.  A seeded value
+    # feeds mid/p; another is consumed by nothing.
+    "inject_dag_lifetimes": lambda: Scenario(
+        std_and_highmem(),
+        [
+            spec("root/0", 1),
+            spec("root/1", 2),
+            spec("mid/0", 10, size=0.2, depends_on=("root/0",)),
+            spec("mid/1", 20, depends_on=("root/0", "root/1")),
+            spec("mid/p", 5, depends_on=("feature/p",)),
+            spec("leaf/0", 100, depends_on=("mid/0", "mid/1")),
+            spec("leaf/1", 200, depends_on=("mid/1", "mid/p")),
+            spec("lone", 7),
+        ],
+        failures={("mid/1", 1): "RuntimeError: flaky"},
+        core_kwargs={
+            "preresolved": {"feature/p": 1000, "unused": -1},
+            "inject_deps": True,
+            "retry_policy": RetryPolicy(
+                max_attempts=2, backoff_seconds=0.3, backoff_factor=1.0
+            ),
         },
     ),
 }
@@ -281,15 +310,28 @@ class TestScenarioDetails:
         )
 
     def test_preresolved_and_inject_deps(self, driver):
-        out = run(driver, SCENARIOS["preresolved_and_inject_deps"]())
+        values: dict[str, Any] = {}
+
+        def on_complete(record, value):
+            if record.ok:
+                values[record.key] = value
+
+        out = run(
+            driver, SCENARIOS["preresolved_and_inject_deps"](), on_complete
+        )
         assert out.order() == [
             ("inference/x", 1, False, "RuntimeError"),
             ("inference/x", 2, True, ""),
             ("relax/x", 1, True, ""),
         ]
+        # The consumed intermediate reached on_complete; the results are
+        # the map's one sink.
+        assert set(values) == {"inference/x", "relax/x"}
+        assert set(out.results) == {"relax/x"}
         if driver != "simulated":
             # The seeded value rode into the chain; the retry re-injected.
-            assert out.results == {"inference/x": 11, "relax/x": 16}
+            assert values == {"inference/x": 11, "relax/x": 16}
+            assert out.results == {"relax/x": 16}
 
     def test_deferred_backoff_does_not_park_the_slot(self, driver):
         """One worker; ``slow`` backs off; the rest run in that window."""
@@ -390,3 +432,86 @@ class TestScenarioDetails:
         # The run drained first: every task still ran or was failed, and
         # every record — the unschedulable one too — was reported.
         assert sorted(completed) == ["bad", "good", "gpu_only"]
+
+
+class Blob:
+    """A task value a weak reference can watch."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+
+
+def add_up_blobs(task: TaskSpec) -> Blob:
+    payload, deps = task.payload
+    return Blob(payload + sum(d.n for d in deps.values()))
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+class TestValueLifetime:
+    """Under ``inject_deps`` a value lives until its last consumer is
+    terminal: ``on_complete`` sees every value, the results are the
+    map's sinks, and nothing is left held when the run ends."""
+
+    SINKS = {"leaf/0": 134, "leaf/1": 1228, "lone": 7}
+    VALUES = {
+        "root/0": 1, "root/1": 2, "mid/0": 11, "mid/1": 23, "mid/p": 1005,
+        **SINKS,
+    }  # fmt: skip
+
+    def test_results_are_the_sinks(self, driver):
+        values: dict[str, Any] = {}
+
+        def on_complete(record, value):
+            if record.ok:
+                values[record.key] = value
+
+        out = run(driver, SCENARIOS["inject_dag_lifetimes"](), on_complete)
+        assert set(out.results) == set(self.SINKS)
+        assert set(values) == set(self.VALUES)
+        assert out.resolved == {}
+        if driver != "simulated":
+            # The simulated driver runs no task function: no values.
+            assert out.results == self.SINKS
+            assert values == self.VALUES
+
+    def test_deferred_retry_still_receives_its_inputs(self, driver):
+        out = run(driver, SCENARIOS["inject_dag_lifetimes"]())
+        attempts = [(k, a, ok) for k, a, ok, _ in out.order() if k == "mid/1"]
+        assert attempts == [("mid/1", 1, False), ("mid/1", 2, True)]
+        # root/0's other consumer was terminal before the retry ran.
+        start = {(r.key, r.attempt): r.start for r in out.records}
+        end = {(r.key, r.attempt): r.end for r in out.records}
+        assert end[("mid/0", 1)] <= start[("mid/1", 2)]
+        if driver != "simulated":
+            # 23 = 20 + root/0 + root/1: the retry was handed both.
+            assert out.results["leaf/0"] == 134
+
+
+def test_consumed_values_are_freed_on_threads():
+    """The intermediates are unreachable once a threaded run ends (the
+    one driver whose values are the task's own objects); only the sinks
+    are still alive, through ``results``."""
+    scenario = SCENARIOS["inject_dag_lifetimes"]()
+    failures = scenario.failures
+    seeded = {"feature/p": Blob(1000), "unused": Blob(-1)}
+    refs = {key: weakref.ref(value) for key, value in seeded.items()}
+
+    def on_complete(record, value):
+        if record.ok:
+            refs[record.key] = weakref.ref(value)
+
+    core = SchedulerCore(
+        scenario.workers,
+        scenario.specs,
+        failure_fn=lambda t, w: failures.get((t.key, t.attempt)),
+        on_complete=on_complete,
+        **{**scenario.core_kwargs, "preresolved": seeded},
+    )
+    del seeded
+    (result,) = run_bounded(
+        [lambda: run_threaded(core, add_up_blobs, pass_spec=True)]
+    )
+    gc.collect()
+    alive = {key for key, ref in refs.items() if ref() is not None}
+    assert alive == set(TestValueLifetime.SINKS)
+    assert {k: v.n for k, v in result.results.items()} == TestValueLifetime.SINKS

@@ -207,16 +207,24 @@ def run_guarded(fn):
 class TestExecutorChains:
     def test_dependency_injection_and_ordering(self, backend):
         ex = BACKENDS[backend](n_workers=2)
+        seen: dict[str, int] = {}
         result = run_guarded(
             lambda: ex.map(
-                chain_task, chain_specs(3), pass_spec=True, inject_deps=True
+                chain_task,
+                chain_specs(3),
+                pass_spec=True,
+                inject_deps=True,
+                on_complete=lambda record, value: seen.update({record.key: value}),
             )
         )
-        assert result.results == {
+        # Every value — the consumed features too — reached on_complete;
+        # the results are the sinks.
+        assert seen == {
             "feature/0": 0, "sink/0": 100,
             "feature/1": 2, "sink/1": 102,
             "feature/2": 4, "sink/2": 104,
         }
+        assert result.results == {"sink/0": 100, "sink/1": 102, "sink/2": 104}
         end_of = {r.key: r.end for r in result.records}
         for i in range(3):
             assert end_of[f"feature/{i}"] <= end_of[f"sink/{i}"]

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core import ProteomePipeline
+from repro.core.stagework import HeadSummary
 from repro.dataflow import TaskRecord
 from repro.fold import NativeFactory
 from repro.msa import build_suite
@@ -60,9 +61,33 @@ def _sha(*chunks: bytes) -> str:
     return h.hexdigest()
 
 
-def campaign_fingerprint(result) -> dict:
+def run_recording(pipeline, world, heads: dict | None = None):
+    """Run the campaign, recording every head prediction it computes
+    into ``heads`` (bare key -> prediction) through the task observer.
+
+    The campaign itself keeps each head's summary and each target's
+    top prediction; the fingerprint hashes every head's structure.
+    """
+    heads = {} if heads is None else heads
+    lock = threading.Lock()
+    chained = pipeline.task_observer
+
+    def observer(stage, record, value):
+        if stage == "inference" and record.ok:
+            with lock:
+                heads[record.key] = value
+        if chained is not None:
+            chained(stage, record, value)
+
+    pipeline.task_observer = observer
+    return pipeline.run(*world)
+
+
+def campaign_fingerprint(result, heads: dict) -> dict:
     """Every number and byte a schedule or backend must not change.
 
+    ``heads`` maps bare inference keys to the predictions the run
+    computed or restored; each must match the run's head summary.
     Floats are kept as ``float.hex`` and arrays as digests of their
     bytes, so equality with the golden file is bit-for-bit.
     """
@@ -81,8 +106,10 @@ def campaign_fingerprint(result) -> dict:
                 b.bytes_scanned, _sha(b.record.encoded.tobytes()),
             )
         )  # fmt: skip
-    for rid, preds in result.inference_stage.predictions.items():
-        for p in preds:
+    for rid, summaries in result.inference_stage.predictions.items():
+        for summary in summaries:
+            p = heads[f"{rid}/{summary.model_name}"]
+            assert HeadSummary.of(p) == summary
             science.append(
                 (
                     rid, p.model_name, float(p.ptms).hex(),
@@ -90,6 +117,12 @@ def campaign_fingerprint(result) -> dict:
                     _sha(p.structure.ca.tobytes(), p.structure.plddt.tobytes()),
                 )
             )  # fmt: skip
+        # The top model is the first head of maximal pTMS, in bank order.
+        top = result.inference_stage.top_models[rid]
+        assert top.model_name == max(summaries, key=lambda h: h.ptms).model_name
+        head = heads[f"{rid}/{top.model_name}"]
+        assert HeadSummary.of(top) == HeadSummary.of(head)
+        assert top.structure.ca.tobytes() == head.structure.ca.tobytes()
     science.append(sorted(result.inference_stage.top_models))
     science.append(result.inference_stage.oom_failures)
     for rid, o in result.relax_stage.outcomes.items():
@@ -131,31 +164,43 @@ def mini():
 
 
 @pytest.fixture(scope="module")
-def barrier_run(mini):
-    prot, suite, factory = mini
-    return make_pipeline(schedule="barrier").run(prot, suite, factory)
+def heads():
+    """Run fixture name -> the head predictions its campaign computed."""
+    return {}
 
 
 @pytest.fixture(scope="module")
-def streaming_run(mini):
-    prot, suite, factory = mini
-    return make_pipeline(schedule="streaming").run(prot, suite, factory)
+def barrier_run(mini, heads):
+    return run_recording(
+        make_pipeline(schedule="barrier"), mini, heads.setdefault("barrier_run", {})
+    )
 
 
 @pytest.fixture(scope="module")
-def streaming_process_run(mini):
-    prot, suite, factory = mini
-    return make_pipeline(
-        schedule="streaming", executor_backend="process"
-    ).run(prot, suite, factory)
+def streaming_run(mini, heads):
+    return run_recording(
+        make_pipeline(schedule="streaming"),
+        mini,
+        heads.setdefault("streaming_run", {}),
+    )
 
 
 @pytest.fixture(scope="module")
-def barrier_process_run(mini):
-    prot, suite, factory = mini
-    return make_pipeline(
-        schedule="barrier", executor_backend="process"
-    ).run(prot, suite, factory)
+def streaming_process_run(mini, heads):
+    return run_recording(
+        make_pipeline(schedule="streaming", executor_backend="process"),
+        mini,
+        heads.setdefault("streaming_process_run", {}),
+    )
+
+
+@pytest.fixture(scope="module")
+def barrier_process_run(mini, heads):
+    return run_recording(
+        make_pipeline(schedule="barrier", executor_backend="process"),
+        mini,
+        heads.setdefault("barrier_process_run", {}),
+    )
 
 
 @pytest.mark.parametrize(
@@ -167,12 +212,13 @@ def barrier_process_run(mini):
         ("streaming", "streaming_process_run"),
     ],
 )
-def test_exactly_the_two_path_numbers(schedule, fixture, request):
+def test_exactly_the_two_path_numbers(schedule, fixture, heads, request):
     """Every simulation record, node-hour, timeline number and science
     byte equals what the per-schedule code paths produced (GOLDEN)."""
     golden = json.loads(GOLDEN.read_text())
     expected = {**golden["shared"], **golden["timeline"][schedule]}
-    assert campaign_fingerprint(request.getfixturevalue(fixture)) == expected
+    result = request.getfixturevalue(fixture)
+    assert campaign_fingerprint(result, heads[fixture]) == expected
 
 
 class TestSchedulesAgree:
@@ -284,15 +330,20 @@ class TestOomLostTargets:
 
     @pytest.mark.parametrize("routing, n_oom", [(False, 5), (True, 0)])
     def test_full_campaign(self, with_long_target, routing, n_oom):
-        prot, suite, factory = with_long_target
+        recorded = {"barrier": {}, "streaming": {}}
         runs = [
-            make_pipeline(
-                schedule=schedule,
-                preset_name="casp14",
-                use_highmem_routing=routing,
-            ).run(prot, suite, factory)
+            run_recording(
+                make_pipeline(
+                    schedule=schedule,
+                    preset_name="casp14",
+                    use_highmem_routing=routing,
+                ),
+                with_long_target,
+                recorded[schedule],
+            )
             for schedule in ("barrier", "streaming")
         ]
+        prot = with_long_target[0]
         survivors = {r.record_id for r in prot} - (
             set() if routing else {"highmem_target"}
         )
@@ -314,8 +365,8 @@ class TestOomLostTargets:
         )
         assert streaming.total_node_hours == barrier.total_node_hours
         assert (
-            campaign_fingerprint(streaming)["science"]
-            == campaign_fingerprint(barrier)["science"]
+            campaign_fingerprint(streaming, recorded["streaming"])["science"]
+            == campaign_fingerprint(barrier, recorded["barrier"])["science"]
         )
 
 
@@ -363,7 +414,8 @@ class TestResumeMatrix:
     @staticmethod
     def mid_chain_state(writer, written, reference, state_dir, heads):
         """All features, ``heads`` of one target, no relax — as ``writer``
-        left it on disk.
+        left it on disk.  ``reference`` is ``(result, head predictions)``
+        of a whole campaign.
 
         For a schedule, that is the schedule's own state directory with
         its ledger cut down to those completions (what a kill leaves
@@ -372,6 +424,7 @@ class TestResumeMatrix:
         two-path commit did: bare per-stage keys through the
         ledger/store API.
         """
+        result, predictions = reference
         if writer in written:
             shutil.copytree(written[writer], state_dir)
             ledger = state_dir / "ledger.jsonl"
@@ -387,13 +440,8 @@ class TestResumeMatrix:
             ledger.write_text("\n".join(kept) + "\n")
             return
         values = {
-            "feature": reference.feature_stage.features,
-            "inference": {
-                f"{rid}/{p.model_name}": p
-                for rid, preds in reference.inference_stage.predictions.items()
-                for p in preds
-                if f"{rid}/{p.model_name}" in heads
-            },
+            "feature": result.feature_stage.features,
+            "inference": {key: predictions[key] for key in sorted(heads)},
         }
         with RunState(state_dir) as state:
             for stage, by_key in values.items():
@@ -404,16 +452,22 @@ class TestResumeMatrix:
     @pytest.mark.parametrize("resumer", ["barrier", "streaming"])
     @pytest.mark.parametrize("writer", ["barrier", "streaming", "two-path"])
     def test_mid_chain_resume(
-        self, mini, written, barrier_run, tmp_path, writer, resumer
+        self, mini, written, barrier_run, heads, tmp_path, writer, resumer
     ):
         prot, suite, factory = mini
         rid = prot[0].record_id
-        heads = {f"{rid}/model_1", f"{rid}/model_2"}
+        ledgered_heads = {f"{rid}/model_1", f"{rid}/model_2"}
         ledgered = {("feature", r.record_id) for r in prot} | {
-            ("inference", key) for key in heads
+            ("inference", key) for key in ledgered_heads
         }
         state_dir = tmp_path / "state"
-        self.mid_chain_state(writer, written, barrier_run, state_dir, heads)
+        self.mid_chain_state(
+            writer,
+            written,
+            (barrier_run, heads["barrier_run"]),
+            state_dir,
+            ledgered_heads,
+        )
 
         computed = []
         lock = threading.Lock()
@@ -424,18 +478,23 @@ class TestResumeMatrix:
 
         with RunState(state_dir) as state:
             assert state.resumed
-            resumed = make_pipeline(
-                schedule=resumer, run_state=state, task_observer=observer
-            ).run(prot, suite, factory)
+            predictions = state.restore("inference", sorted(ledgered_heads))
+            resumed = run_recording(
+                make_pipeline(
+                    schedule=resumer, run_state=state, task_observer=observer
+                ),
+                mini,
+                predictions,
+            )
 
         n = len(prot)
         assert ledgered.isdisjoint(computed)
         assert len(computed) == len(set(computed)) == 7 * n - len(ledgered)
         assert resumed.feature_stage.skipped_resume == n
-        assert resumed.inference_stage.skipped_resume == len(heads)
+        assert resumed.inference_stage.skipped_resume == len(ledgered_heads)
         assert resumed.relax_stage.skipped_resume == 0
         golden = json.loads(GOLDEN.read_text())
-        fingerprint = campaign_fingerprint(resumed)
+        fingerprint = campaign_fingerprint(resumed, predictions)
         for name, expected in golden["shared"].items():
             assert fingerprint[name] == expected, name
 

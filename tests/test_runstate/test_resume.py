@@ -137,16 +137,18 @@ def assert_science_identical(a, b) -> None:
     assert set(a.inference_stage.predictions) == set(
         b.inference_stage.predictions
     )
+    # Per-head summaries (``true_tm`` scores each head's structure
+    # against the native) plus the top model's coordinates: all the
+    # campaign keeps of the five predictions.
     for rid, preds_a in a.inference_stage.predictions.items():
-        preds_b = b.inference_stage.predictions[rid]
-        assert [p.model_name for p in preds_a] == [
-            p.model_name for p in preds_b
-        ]
-        for pa, pb in zip(preds_a, preds_b):
-            assert pa.ptms == pb.ptms
-            assert pa.mean_plddt == pb.mean_plddt
-            assert pa.n_recycles == pb.n_recycles
-            assert np.array_equal(pa.structure.ca, pb.structure.ca)
+        assert preds_a == b.inference_stage.predictions[rid]
+    tops_a, tops_b = a.inference_stage.top_models, b.inference_stage.top_models
+    assert list(tops_a) == list(tops_b)
+    for rid, top_a in tops_a.items():
+        top_b = tops_b[rid]
+        assert top_a.model_name == top_b.model_name
+        assert np.array_equal(top_a.structure.ca, top_b.structure.ca)
+        assert np.array_equal(top_a.structure.plddt, top_b.structure.plddt)
     assert set(a.relax_stage.outcomes) == set(b.relax_stage.outcomes)
     for rid, oa in a.relax_stage.outcomes.items():
         ob = b.relax_stage.outcomes[rid]

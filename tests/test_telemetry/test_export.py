@@ -97,6 +97,37 @@ class TestChromeTrace:
         trace = chrome_trace(tr.spans)
         assert [e for e in trace["traceEvents"] if e["ph"] == "X"] == []
 
+    def test_streamed_file_is_the_in_memory_trace(self, tmp_path):
+        """``write_chrome_trace`` streams event by event, yet writes the
+        bytes of ``json.dumps(chrome_trace(...))``: wall spans on two
+        worker lanes, sim spans, instants, an open span and metadata."""
+        tr = _tracer_with_spans()
+        with tr.span("task", "P0002", attrs={"worker": "w2", "ok": True}):
+            tr.event("oom", category="dataflow", attrs={"worker": "w2"})
+        tr.start_span("stage", "never-finished")
+        tr.extend(
+            spans_from_records(
+                simulate_dataflow(
+                    [TaskSpec(key=f"t{i}", size_hint=1.0) for i in range(3)],
+                    make_workers(1, 2),
+                    lambda t: 1.0,
+                ).records,
+                clock="sim",
+            )
+        )
+        metadata = {"run": "unit", "n": 3, "ratio": 0.1}
+        path = tmp_path / "trace.json"
+        write_chrome_trace(path, tr, metadata=metadata)
+        expected = json.dumps(chrome_trace(tr.spans, tr.events, metadata))
+        assert path.read_bytes() == expected.encode("utf-8")
+        trace = json.loads(expected)
+        assert {e["pid"] for e in trace["traceEvents"]} == {WALL_PID, SIM_PID}
+        assert {e["ph"] for e in trace["traceEvents"]} == {"X", "i", "M"}
+
+        empty = tmp_path / "empty.json"
+        write_chrome_trace(empty, [], [])
+        assert empty.read_text() == json.dumps(chrome_trace([]))
+
     def test_write_accepts_tracer(self, tmp_path):
         path = tmp_path / "trace.json"
         write_chrome_trace(path, _tracer_with_spans())
